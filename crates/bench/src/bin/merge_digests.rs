@@ -9,17 +9,17 @@
 //! * `--smoke [--fingerprint-out PATH] [--live-out PATH]` — in-process
 //!   gates, exiting non-zero on any failure:
 //!   (a) the checkpointed driver with an inactive rule equals the
-//!   plain streaming engine (digest + counters) for both backends;
+//!   plain sharded engine (digest + counters);
 //!   (b) interrupt at the first barrier → `save` → `load` in a
 //!   simulated fresh process (obs registry reset) → resume equals the
 //!   uninterrupted run, plain and adaptive (decision fingerprint
-//!   included), both backends — and the same for the A/B driver;
+//!   included) — and the same for the A/B driver;
 //!   (c) `save` → `load` → `save` is a byte-level fixed point.
 //!   `--fingerprint-out` writes the run's fingerprints so
 //!   `scripts/verify.sh` can `cmp` runs at different `EYEORG_THREADS`
 //!   values; `--live-out` writes the live JSONL stream (one line per
 //!   barrier, final line checked against the end-of-run digest).
-//! * `--worker LO HI --out PATH [--flat]` — run the worker slice
+//! * `--worker LO HI --out PATH` — run the worker slice
 //!   `[LO, HI)` of the same campaign in *this* process and write its
 //!   checkpoint file. `verify.sh` launches several of these as real
 //!   child processes over disjoint ranges.
@@ -29,7 +29,6 @@
 
 use eyeorg_bench::campaigns::capture_browser;
 use eyeorg_core::prelude::*;
-use eyeorg_core::adaptive::AdaptiveBackend;
 use eyeorg_crowd::CrowdFlower;
 use eyeorg_stats::Seed;
 use eyeorg_video::CaptureConfig;
@@ -93,7 +92,6 @@ fn counters() -> String {
 fn run_ck(
     stimuli: &[TimelineStimulus],
     ac: &AdaptiveConfig,
-    backend: AdaptiveBackend,
     resume: Option<&TimelineCheckpoint>,
     stop_after: Option<usize>,
 ) -> (RunOutcome, Vec<String>) {
@@ -108,7 +106,7 @@ fn run_ck(
         seed().derive("run"),
         &scfg(),
         ac,
-        backend,
+        AdaptiveBackend::Flat,
         resume,
         &ck_cfg(),
         &mut |ev| match ev {
@@ -137,9 +135,9 @@ fn smoke(fp_out: Option<String>, live_out: Option<String>) {
     let stimuli = smoke_stimuli();
     let mut identical = true;
 
-    // Reference: the plain streaming engine, digest and counters.
+    // Reference: the plain sharded engine, digest and counters.
     eyeorg_obs::reset();
-    let reference = stream_timeline_campaign(
+    let reference = flat_timeline_campaign(
         &stimuli,
         &CrowdFlower,
         PARTICIPANTS,
@@ -154,66 +152,62 @@ fn smoke(fp_out: Option<String>, live_out: Option<String>) {
     // Gate (a): the checkpointed driver with an inactive rule equals
     // the plain engine — and gate (b): interrupt at the first barrier,
     // reload the bytes with a reset obs registry, resume, and land on
-    // the same fingerprints. Both backends.
-    let mut live_lines = Vec::new();
-    for backend in [AdaptiveBackend::Streaming, AdaptiveBackend::Flat] {
-        eyeorg_obs::reset();
-        let (out, live) = run_ck(&stimuli, &inactive(), backend, None, None);
-        let RunOutcome::Complete(outcome) = out else {
-            eprintln!("DIVERGENCE: {backend:?} uninterrupted run did not complete");
-            std::process::exit(1);
-        };
-        if outcome.digest.fingerprint() != reference_fp {
-            identical = false;
-            eprintln!("DIVERGENCE: {backend:?} checkpointed digest != streaming engine");
-        }
-        if counters() != reference_counters {
-            identical = false;
-            eprintln!("DIVERGENCE: {backend:?} checkpointed counters != streaming engine");
-        }
-        let last = live.last().cloned().unwrap_or_default();
-        let expect_last = live_line_from_digest(&outcome.digest, PARTICIPANTS as u64, true);
-        if last != expect_last {
-            identical = false;
-            eprintln!("DIVERGENCE: {backend:?} final live line != end-of-run digest read-out");
-        }
-        println!("smoke {backend:?} uninterrupted: {} live lines", live.len());
-        live_lines = live;
-
-        // Interrupt → save → load → resume.
-        eyeorg_obs::reset();
-        let (out, _) = run_ck(&stimuli, &inactive(), backend, None, Some(1));
-        let RunOutcome::Interrupted(ck) = out else {
-            eprintln!("DIVERGENCE: {backend:?} run did not stop at the first barrier");
-            std::process::exit(1);
-        };
-        let bytes = ck.save();
-        let reloaded = TimelineCheckpoint::load(&bytes).expect("reload checkpoint");
-        if reloaded.save() != bytes {
-            identical = false;
-            eprintln!("DIVERGENCE: {backend:?} save/load is not a fixed point");
-        }
-        eyeorg_obs::reset(); // simulate the resuming process starting fresh
-        let (out, _) = run_ck(&stimuli, &inactive(), backend, Some(&reloaded), None);
-        let RunOutcome::Complete(outcome) = out else {
-            eprintln!("DIVERGENCE: {backend:?} resumed run did not complete");
-            std::process::exit(1);
-        };
-        if outcome.digest.fingerprint() != reference_fp {
-            identical = false;
-            eprintln!("DIVERGENCE: {backend:?} resumed digest != uninterrupted run");
-        }
-        if counters() != reference_counters {
-            identical = false;
-            eprintln!("DIVERGENCE: {backend:?} resumed counters != uninterrupted run");
-        }
-        println!("smoke {backend:?} interrupt/resume: ok={identical}");
+    // the same fingerprints.
+    eyeorg_obs::reset();
+    let (out, live_lines) = run_ck(&stimuli, &inactive(), None, None);
+    let RunOutcome::Complete(outcome) = out else {
+        eprintln!("DIVERGENCE: uninterrupted run did not complete");
+        std::process::exit(1);
+    };
+    if outcome.digest.fingerprint() != reference_fp {
+        identical = false;
+        eprintln!("DIVERGENCE: checkpointed digest != plain engine");
     }
+    if counters() != reference_counters {
+        identical = false;
+        eprintln!("DIVERGENCE: checkpointed counters != plain engine");
+    }
+    let last = live_lines.last().cloned().unwrap_or_default();
+    let expect_last = live_line_from_digest(&outcome.digest, PARTICIPANTS as u64, true);
+    if last != expect_last {
+        identical = false;
+        eprintln!("DIVERGENCE: final live line != end-of-run digest read-out");
+    }
+    println!("smoke uninterrupted: {} live lines", live_lines.len());
+
+    // Interrupt → save → load → resume.
+    eyeorg_obs::reset();
+    let (out, _) = run_ck(&stimuli, &inactive(), None, Some(1));
+    let RunOutcome::Interrupted(ck) = out else {
+        eprintln!("DIVERGENCE: run did not stop at the first barrier");
+        std::process::exit(1);
+    };
+    let bytes = ck.save();
+    let reloaded = TimelineCheckpoint::load(&bytes).expect("reload checkpoint");
+    if reloaded.save() != bytes {
+        identical = false;
+        eprintln!("DIVERGENCE: save/load is not a fixed point");
+    }
+    eyeorg_obs::reset(); // simulate the resuming process starting fresh
+    let (out, _) = run_ck(&stimuli, &inactive(), Some(&reloaded), None);
+    let RunOutcome::Complete(outcome) = out else {
+        eprintln!("DIVERGENCE: resumed run did not complete");
+        std::process::exit(1);
+    };
+    if outcome.digest.fingerprint() != reference_fp {
+        identical = false;
+        eprintln!("DIVERGENCE: resumed digest != uninterrupted run");
+    }
+    if counters() != reference_counters {
+        identical = false;
+        eprintln!("DIVERGENCE: resumed counters != uninterrupted run");
+    }
+    println!("smoke interrupt/resume: ok={identical}");
 
     // Gate (b), adaptive: the stopping rule's decision sequence must
     // survive interruption too.
     eyeorg_obs::reset();
-    let (out, _) = run_ck(&stimuli, &active(), AdaptiveBackend::Streaming, None, None);
+    let (out, _) = run_ck(&stimuli, &active(), None, None);
     let RunOutcome::Complete(act_ref) = out else {
         eprintln!("DIVERGENCE: adaptive uninterrupted run did not complete");
         std::process::exit(1);
@@ -225,34 +219,32 @@ fn smoke(fp_out: Option<String>, live_out: Option<String>) {
         identical = false;
         eprintln!("DIVERGENCE: smoke epsilon never fired (calibration broken)");
     }
-    for backend in [AdaptiveBackend::Streaming, AdaptiveBackend::Flat] {
-        eyeorg_obs::reset();
-        let (out, _) = run_ck(&stimuli, &active(), backend, None, Some(1));
-        let RunOutcome::Interrupted(ck) = out else {
-            eprintln!("DIVERGENCE: adaptive {backend:?} did not stop at the first barrier");
-            std::process::exit(1);
-        };
-        let reloaded = TimelineCheckpoint::load(&ck.save()).expect("reload adaptive checkpoint");
-        eyeorg_obs::reset();
-        let (out, _) = run_ck(&stimuli, &active(), backend, Some(&reloaded), None);
-        let RunOutcome::Complete(outcome) = out else {
-            eprintln!("DIVERGENCE: adaptive {backend:?} resumed run did not complete");
-            std::process::exit(1);
-        };
-        if outcome.digest.fingerprint() != act_fp
-            || outcome.decision_fingerprint() != act_decisions
-            || counters() != act_counters
-        {
-            identical = false;
-            eprintln!("DIVERGENCE: adaptive {backend:?} resume differs from uninterrupted run");
-        }
-        println!("smoke adaptive {backend:?} interrupt/resume: {} decisions", outcome.decisions.len());
+    eyeorg_obs::reset();
+    let (out, _) = run_ck(&stimuli, &active(), None, Some(1));
+    let RunOutcome::Interrupted(ck) = out else {
+        eprintln!("DIVERGENCE: adaptive run did not stop at the first barrier");
+        std::process::exit(1);
+    };
+    let reloaded = TimelineCheckpoint::load(&ck.save()).expect("reload adaptive checkpoint");
+    eyeorg_obs::reset();
+    let (out, _) = run_ck(&stimuli, &active(), Some(&reloaded), None);
+    let RunOutcome::Complete(outcome) = out else {
+        eprintln!("DIVERGENCE: adaptive resumed run did not complete");
+        std::process::exit(1);
+    };
+    if outcome.digest.fingerprint() != act_fp
+        || outcome.decision_fingerprint() != act_decisions
+        || counters() != act_counters
+    {
+        identical = false;
+        eprintln!("DIVERGENCE: adaptive resume differs from uninterrupted run");
     }
+    println!("smoke adaptive interrupt/resume: {} decisions", outcome.decisions.len());
 
     // The A/B driver: same interrupt → save → load → resume contract.
     let ab = smoke_ab_stimuli();
     eyeorg_obs::reset();
-    let ab_ref = stream_ab_campaign(
+    let ab_ref = flat_ab_campaign(
         &ab,
         &CrowdFlower,
         PARTICIPANTS,
@@ -316,7 +308,7 @@ fn smoke(fp_out: Option<String>, live_out: Option<String>) {
     }
     if let Some(path) = fp_out {
         // Everything a cross-process / cross-thread-count `cmp` needs:
-        // plain digest + counters (== the streaming engine's, and ==
+        // plain digest + counters (== the plain engine's, and ==
         // what `--merge` emits), then the adaptive run's digest,
         // decision, and counter fingerprints.
         let contents = format!(
@@ -337,12 +329,10 @@ fn worker(args: &[String]) {
     let mut lo = None;
     let mut hi = None;
     let mut out = None;
-    let mut backend = AdaptiveBackend::Streaming;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => out = Some(it.next().expect("--out needs a path").clone()),
-            "--flat" => backend = AdaptiveBackend::Flat,
             v => {
                 let n: usize = v.parse().unwrap_or_else(|_| {
                     eprintln!("unknown --worker argument: {v}");
@@ -357,7 +347,7 @@ fn worker(args: &[String]) {
         }
     }
     let (Some(lo), Some(hi), Some(out)) = (lo, hi, out) else {
-        eprintln!("usage: merge_digests --worker LO HI --out PATH [--flat]");
+        eprintln!("usage: merge_digests --worker LO HI --out PATH");
         std::process::exit(2);
     };
     // Build stimuli before the reset: the captured counter state must
@@ -373,14 +363,13 @@ fn worker(args: &[String]) {
         &paper_pipeline(),
         seed().derive("run"),
         &scfg(),
-        backend,
     )
     .unwrap_or_else(|e| {
         eprintln!("FAIL: worker [{lo}, {hi}) checkpoint: {e}");
         std::process::exit(1);
     });
     write_file(&out, &ck.save());
-    println!("worker [{lo}, {hi}) ({backend:?}) wrote {out}");
+    println!("worker [{lo}, {hi}) wrote {out}");
 }
 
 fn merge(args: &[String]) {
@@ -460,7 +449,7 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: merge_digests --smoke [--fingerprint-out PATH] [--live-out PATH]\n\
-                 \x20      merge_digests --worker LO HI --out PATH [--flat]\n\
+                 \x20      merge_digests --worker LO HI --out PATH\n\
                  \x20      merge_digests --merge OUT_FP FILE..."
             );
             std::process::exit(2);

@@ -1,30 +1,26 @@
-//! Scale harness for the streaming and flat data-plane campaign engines.
+//! Scale harness for the sharded campaign engine (`core::flat`).
 //!
 //! Two modes:
 //!
 //! * `--smoke` — small configuration used by `scripts/verify.sh` and CI:
-//!   runs the materializing engine once, then the streaming engine and
-//!   the flat data-plane engine across several shard sizes and thread
-//!   knobs, and **exits non-zero** when any digest or
-//!   observability-counter fingerprint diverges. With
-//!   `--fingerprint-out PATH` it also writes the streaming and flat
-//!   fingerprints so the caller can `cmp` runs at different
-//!   `EYEORG_THREADS`.
+//!   runs the materializing engine once, then the sharded engine across
+//!   several shard sizes and thread knobs, and **exits non-zero** when
+//!   any digest or observability-counter fingerprint diverges. With
+//!   `--fingerprint-out PATH` it also writes the sharded engine's
+//!   digest and counter fingerprints so the caller can `cmp` runs at
+//!   different `EYEORG_THREADS`.
 //! * full (default) — the headline measurement: a 1,000,000-participant
-//!   × 20-stimulus timeline campaign through both engines in bounded
-//!   memory, plus a single-thread old-vs-new comparison and a thread
+//!   × 20-stimulus timeline campaign in bounded memory, plus a thread
 //!   sweep (1 / 2 / auto via the `ExperimentConfig::threads` knob).
-//!   Gates: (a) the flat digest is byte-identical to the streaming
-//!   digest at full scale and at every sweep point, (b) retained bytes
-//!   stay bounded, (c) the flat engine clears the single-thread
-//!   regression floor over the streaming engine (see
-//!   [`FLAT_SPEEDUP_FLOOR`] for why the floor sits below the original
-//!   roadmap target), (d) the streaming engine keeps its ≥10x
-//!   advantage over the materializing engine, and (e) on boxes with
-//!   more than one hardware thread, the flat auto-thread sweep clears
-//!   [`PARALLEL_EFFICIENCY_FLOOR`] (on a 1-core box the measurement is
-//!   recorded but the gate is disarmed — pool = 1 reads ~1.0 by
-//!   definition). Writes `results/BENCH_scale.json`.
+//!   Gates: (a) the digest is byte-identical across shard sizes at full
+//!   scale, across every sweep point, and to the materializing engine
+//!   at the capped size, (b) retained bytes stay bounded, (c) the
+//!   sharded engine keeps its ≥10x advantage over the materializing
+//!   engine, and (d) on boxes with more than one hardware thread, the
+//!   auto-thread sweep clears [`PARALLEL_EFFICIENCY_FLOOR`] (on a
+//!   1-core box the measurement is recorded but the gate is disarmed —
+//!   pool = 1 reads ~1.0 by definition). Writes
+//!   `results/BENCH_scale.json`.
 //!
 //! Memory is reported two ways: the digest's own retained-bytes
 //! accounting (exact, hardware-independent) and the process peak-RSS
@@ -43,9 +39,8 @@ const FULL_PARTICIPANTS: usize = 1_000_000;
 const FULL_SITES: usize = 20;
 const BOUND_PROBE_PARTICIPANTS: usize = 100_000;
 const MATERIALIZING_CAP: usize = 20_000;
-/// Crowd size of the single-thread old-vs-new comparison and the
-/// thread sweep (big enough to dominate fixed costs, small enough that
-/// the 1-thread streaming run stays cheap).
+/// Crowd size of the thread sweep (big enough to dominate fixed costs,
+/// small enough that the 1-thread run stays cheap).
 const SWEEP_PARTICIPANTS: usize = 200_000;
 /// Shard size of the headline runs. The fast-path arena (DESIGN.md
 /// §3k) keeps per-cell sessions, leaf seeds and expanded RNG blocks
@@ -62,25 +57,7 @@ const ALT_SHARD: usize = 8192;
 const SMOKE_SITES: usize = 4;
 const SMOKE_PARTICIPANTS: usize = 400;
 
-/// Single-thread flat-vs-streaming hard regression floor. The roadmap
-/// aimed for 3x (band 5–10x), but that target predates the measured
-/// cost split: ~70% of the streaming engine's single-thread time was
-/// the *seeded behavioural model* (persona + session + response
-/// draws), which capped the ratio near 1.5x (Amdahl). The §3k fast
-/// path shrank that model term for **both** engines — draw-exact, so
-/// byte-identity holds — which lowers the ceiling on the *ratio* even
-/// as both absolute times improve; `perf_model` now gates the model
-/// term itself (1.8x gate), and this floor protects the flat engine's
-/// remaining structural win (arena batching + bulk seeding) from
-/// regressing: post-fast-path the ratio measures ~1.3x on the
-/// reference box, and the floor sits a noise margin below it. The
-/// measured ratio and the roadmap target are both recorded in
-/// `BENCH_scale.json`.
-const FLAT_SPEEDUP_FLOOR: f64 = 1.2;
-/// Roadmap item 4's original single-thread target, recorded for
-/// comparison against the measured ratio.
-const FLAT_SPEEDUP_TARGET: f64 = 3.0;
-/// Parallel-efficiency floor for the flat auto-thread sweep
+/// Parallel-efficiency floor for the auto-thread sweep
 /// (auto-thread speedup over 1 thread, divided by the worker pool
 /// used). Gated only when the box actually has more than one hardware
 /// thread: on a 1-core box the sweep degenerates to pool = 1 and the
@@ -109,28 +86,6 @@ fn stimuli(sites: usize, repeats: usize, seed: Seed) -> Vec<TimelineStimulus> {
     let corpus = alexa_like(seed.derive("sites"), sites);
     let capture = CaptureConfig { repeats, ..CaptureConfig::default() };
     timeline_stimuli(&corpus, &capture_browser(), &capture, seed.derive("capture"))
-}
-
-fn stream_run(
-    stimuli: &[TimelineStimulus],
-    n: usize,
-    seed: Seed,
-    shard: usize,
-    threads: usize,
-) -> (TimelineDigest, f64) {
-    eyeorg_obs::reset();
-    let cfg = ExperimentConfig { threads, ..ExperimentConfig::default() };
-    let t = Instant::now();
-    let digest = stream_timeline_campaign(
-        stimuli,
-        &CrowdFlower,
-        n,
-        &cfg,
-        &paper_pipeline(),
-        seed,
-        &StreamConfig { shard_size: shard, ..StreamConfig::default() },
-    );
-    (digest, t.elapsed().as_secs_f64())
 }
 
 fn flat_run(
@@ -179,27 +134,8 @@ fn smoke(fp_out: Option<String>) {
     let reference_counters = eyeorg_obs::snapshot("scale-smoke", 0).counter_fingerprint();
 
     let mut identical = true;
-    let mut streaming_fp = String::new();
-    let mut streaming_counters = String::new();
-    for shard in [64usize, 128, n + 1] {
-        let (digest, secs) = stream_run(&stimuli, n, seed.derive("run"), shard, 0);
-        let fp = digest.fingerprint();
-        let counters = eyeorg_obs::snapshot("scale-smoke", 0).counter_fingerprint();
-        if fp != reference_fp {
-            identical = false;
-            eprintln!("DIVERGENCE: shard={shard} digest differs from materializing engine");
-        }
-        if counters != reference_counters {
-            identical = false;
-            eprintln!("DIVERGENCE: shard={shard} counters differ from materializing engine");
-        }
-        println!("smoke shard={shard:>4}: {secs:.3}s (materializing {mat_secs:.3}s)");
-        streaming_fp = fp;
-        streaming_counters = counters;
-    }
-
-    // Flat data-plane engine divergence gate: same reference, across
-    // shard sizes *and* the in-process thread knob.
+    // Divergence gate: the materializing reference, across shard sizes
+    // *and* the in-process thread knob.
     let mut flat_fp = String::new();
     let mut flat_counters = String::new();
     for shard in [64usize, 128, n + 1] {
@@ -221,18 +157,19 @@ fn smoke(fp_out: Option<String>) {
                      from materializing engine"
                 );
             }
-            println!("smoke flat shard={shard:>4} threads={threads}: {secs:.3}s");
+            println!(
+                "smoke flat shard={shard:>4} threads={threads}: {secs:.3}s \
+                 (materializing {mat_secs:.3}s)"
+            );
             flat_fp = fp;
             flat_counters = counters;
         }
     }
 
     if let Some(path) = fp_out {
-        // Digest + counter fingerprints of the streaming and flat runs;
-        // callers compare this file byte-for-byte across EYEORG_THREADS
-        // values.
-        let contents =
-            format!("{streaming_fp}\n{streaming_counters}\n{flat_fp}\n{flat_counters}\n");
+        // Digest + counter fingerprints of the sharded runs; callers
+        // compare this file byte-for-byte across EYEORG_THREADS values.
+        let contents = format!("{flat_fp}\n{flat_counters}\n");
         if let Some(dir) = std::path::Path::new(&path).parent() {
             std::fs::create_dir_all(dir).expect("create fingerprint dir");
         }
@@ -244,67 +181,42 @@ fn smoke(fp_out: Option<String>) {
         eprintln!("FAIL: engine diverged from materializing reference");
         std::process::exit(1);
     }
-    println!("smoke OK: streaming == flat == materializing across shard sizes and threads");
+    println!("smoke OK: flat == materializing across shard sizes and threads");
 }
 
 fn full() {
     let seed = Seed(2016).derive("perf-scale");
     let stimuli = stimuli(FULL_SITES, 3, seed);
 
-    // Headline streaming run: a million participants, bounded memory.
+    // Headline run: a million participants, bounded memory.
     let (full_digest, full_secs) =
-        stream_run(&stimuli, FULL_PARTICIPANTS, seed.derive("run"), FULL_SHARD, 0);
-    let streaming_pps = FULL_PARTICIPANTS as f64 / full_secs;
+        flat_run(&stimuli, FULL_PARTICIPANTS, seed.derive("run"), FULL_SHARD, 0);
+    let flat_pps = FULL_PARTICIPANTS as f64 / full_secs;
     let full_retained = full_digest.retained_bytes();
     println!(
-        "streaming  n={FULL_PARTICIPANTS} shard={FULL_SHARD}: {full_secs:.2}s \
-         ({streaming_pps:.0} participants/sec, digest {full_retained} bytes)"
+        "flat       n={FULL_PARTICIPANTS} shard={FULL_SHARD}: {full_secs:.2}s \
+         ({flat_pps:.0} participants/sec, digest {full_retained} bytes)"
     );
-
-    // Headline flat run: same campaign through the flat data plane.
-    let (flat_digest, flat_secs) =
-        flat_run(&stimuli, FULL_PARTICIPANTS, seed.derive("run"), FULL_SHARD, 0);
-    let flat_pps = FULL_PARTICIPANTS as f64 / flat_secs;
-    let flat_retained = flat_digest.retained_bytes();
-    println!(
-        "flat       n={FULL_PARTICIPANTS} shard={FULL_SHARD}: {flat_secs:.2}s \
-         ({flat_pps:.0} participants/sec, digest {flat_retained} bytes)"
-    );
-    let mut identical = true;
-    if flat_digest.fingerprint() != full_digest.fingerprint() {
-        identical = false;
-        eprintln!("DIVERGENCE: flat digest differs from streaming at n={FULL_PARTICIPANTS}");
-    }
 
     // Shard-size invariance gate at full scale.
+    let mut identical = true;
     let (alt_digest, alt_secs) =
-        stream_run(&stimuli, FULL_PARTICIPANTS, seed.derive("run"), ALT_SHARD, 0);
+        flat_run(&stimuli, FULL_PARTICIPANTS, seed.derive("run"), ALT_SHARD, 0);
     if alt_digest.fingerprint() != full_digest.fingerprint() {
         identical = false;
         eprintln!("DIVERGENCE: shard={ALT_SHARD} digest differs from shard={FULL_SHARD}");
     }
-    println!("streaming  n={FULL_PARTICIPANTS} shard={ALT_SHARD}: {alt_secs:.2}s");
+    println!("flat       n={FULL_PARTICIPANTS} shard={ALT_SHARD}: {alt_secs:.2}s");
 
-    // Old-vs-new, single thread: the flat engine's structure-of-arrays
-    // batching against the streaming engine's row-at-a-time loop, both
-    // pinned to one worker so the comparison is allocation/layout, not
-    // parallelism.
-    let (sweep_ref, stream_1t_secs) =
-        stream_run(&stimuli, SWEEP_PARTICIPANTS, seed.derive("sweep"), FULL_SHARD, 1);
-    let sweep_ref_fp = sweep_ref.fingerprint();
-    let stream_1t_pps = SWEEP_PARTICIPANTS as f64 / stream_1t_secs;
-    println!(
-        "streaming  n={SWEEP_PARTICIPANTS} threads=1: {stream_1t_secs:.2}s \
-         ({stream_1t_pps:.0} participants/sec)"
-    );
-
-    // Thread sweep of the flat engine via the in-process knob; every
-    // point must reproduce the 1-thread streaming digest byte for byte.
+    // Thread sweep via the in-process knob; every point must reproduce
+    // the 1-thread digest byte for byte.
+    let mut sweep_fp = None;
     let mut flat_sweep = Vec::new(); // (threads, secs, pps)
     for threads in [1usize, 2, 0] {
         let (d, secs) =
             flat_run(&stimuli, SWEEP_PARTICIPANTS, seed.derive("sweep"), FULL_SHARD, threads);
-        if d.fingerprint() != sweep_ref_fp {
+        let fp = d.fingerprint();
+        if *sweep_fp.get_or_insert_with(|| fp.clone()) != fp {
             identical = false;
             eprintln!("DIVERGENCE: flat threads={threads} digest differs at n={SWEEP_PARTICIPANTS}");
         }
@@ -315,7 +227,6 @@ fn full() {
     let flat_1t_pps = flat_sweep[0].2;
     let flat_2t_pps = flat_sweep[1].2;
     let flat_auto_pps = flat_sweep[2].2;
-    let flat_speedup_1t = flat_1t_pps / stream_1t_pps;
     let auto_threads = eyeorg_stats::effective_pool(eyeorg_stats::resolve_threads(0));
     // Parallel efficiency: auto-thread speedup over 1 thread, divided by
     // the pool actually used (1.0 = perfect scaling). Only a real
@@ -327,9 +238,8 @@ fn full() {
     let hw_parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let par_eff_gated = hw_parallelism > 1;
     println!(
-        "flat vs streaming, 1 thread: {flat_speedup_1t:.1}x \
-         (parallel efficiency at {auto_threads} threads: {parallel_efficiency:.2}{})",
-        if par_eff_gated { "" } else { ", ungated: 1 hardware thread" }
+        "parallel efficiency at {auto_threads} threads: {parallel_efficiency:.2}{}",
+        if par_eff_gated { "" } else { " (ungated: 1 hardware thread)" }
     );
 
     // Boundedness gate: once every sketch has spilled, the digest's
@@ -337,26 +247,24 @@ fn full() {
     let (probe_digest, _) =
         flat_run(&stimuli, BOUND_PROBE_PARTICIPANTS, seed.derive("run"), FULL_SHARD, 0);
     let probe_retained = probe_digest.retained_bytes();
-    let bounded = full_retained <= probe_retained && flat_retained <= probe_retained;
+    let bounded = full_retained <= probe_retained;
     if !bounded {
         eprintln!(
             "FAIL: retained bytes grew with n ({probe_retained} at \
-             n={BOUND_PROBE_PARTICIPANTS} vs {full_retained}/{flat_retained} at \
-             n={FULL_PARTICIPANTS})"
+             n={BOUND_PROBE_PARTICIPANTS} vs {full_retained} at n={FULL_PARTICIPANTS})"
         );
     }
 
     // Throughput comparison: the materializing engine at a capped crowd
-    // size (its row-retention and per-participant row scans make the
-    // full million impractical — which is the point of the streaming
-    // engine).
+    // size (row retention makes the full million impractical — which is
+    // the point of the sharded engine).
     let (mat_digest, mat_secs) =
         materializing_run(&stimuli, MATERIALIZING_CAP, seed.derive("run"));
     let materializing_pps = MATERIALIZING_CAP as f64 / mat_secs;
-    let speedup = streaming_pps / materializing_pps;
+    let speedup = flat_pps / materializing_pps;
     println!(
         "materializing n={MATERIALIZING_CAP}: {mat_secs:.2}s \
-         ({materializing_pps:.0} participants/sec) -> streaming speedup {speedup:.1}x"
+         ({materializing_pps:.0} participants/sec) -> flat speedup {speedup:.1}x"
     );
     // Equivalence spot-check at the capped size too.
     let (mat_check, _) =
@@ -369,14 +277,7 @@ fn full() {
     let peak_rss = peak_rss_bytes();
     let speedup_ok = speedup >= 10.0;
     if !speedup_ok {
-        eprintln!("FAIL: streaming speedup {speedup:.1}x is below the 10x gate");
-    }
-    let flat_speedup_ok = flat_speedup_1t >= FLAT_SPEEDUP_FLOOR;
-    if !flat_speedup_ok {
-        eprintln!(
-            "FAIL: flat single-thread speedup {flat_speedup_1t:.1}x is below the \
-             {FLAT_SPEEDUP_FLOOR}x regression floor"
-        );
+        eprintln!("FAIL: flat speedup {speedup:.1}x over materializing is below the 10x gate");
     }
     let par_eff_ok = !par_eff_gated || parallel_efficiency >= PARALLEL_EFFICIENCY_FLOOR;
     if !par_eff_ok {
@@ -392,19 +293,13 @@ fn full() {
         "{{\n  \"participants\": {FULL_PARTICIPANTS},\n  \"stimuli\": {FULL_SITES},\n  \
          \"shard_size\": {FULL_SHARD},\n  \"alt_shard_size\": {ALT_SHARD},\n  \
          {env},\n  \
-         \"streaming_secs\": {full_secs:.6},\n  \
-         \"streaming_participants_per_sec\": {streaming_pps:.1},\n  \
-         \"flat_secs\": {flat_secs:.6},\n  \
+         \"flat_secs\": {full_secs:.6},\n  \
          \"flat_participants_per_sec\": {flat_pps:.1},\n  \
          \"alt_shard_secs\": {alt_secs:.6},\n  \
          \"sweep_participants\": {SWEEP_PARTICIPANTS},\n  \
-         \"streaming_1thread_participants_per_sec\": {stream_1t_pps:.1},\n  \
          \"flat_1thread_participants_per_sec\": {flat_1t_pps:.1},\n  \
          \"flat_2thread_participants_per_sec\": {flat_2t_pps:.1},\n  \
          \"flat_auto_participants_per_sec\": {flat_auto_pps:.1},\n  \
-         \"flat_speedup_1thread\": {flat_speedup_1t:.2},\n  \
-         \"flat_speedup_floor\": {FLAT_SPEEDUP_FLOOR},\n  \
-         \"flat_speedup_roadmap_target\": {FLAT_SPEEDUP_TARGET},\n  \
          \"parallel_efficiency\": {parallel_efficiency:.3},\n  \
          \"parallel_efficiency_floor\": {PARALLEL_EFFICIENCY_FLOOR},\n  \
          \"hw_parallelism\": {hw_parallelism},\n  \
@@ -419,14 +314,13 @@ fn full() {
          \"retained_bytes_bounded\": {bounded},\n  \
          \"peak_rss_bytes\": {peak_rss},\n  \
          \"speedup_gate_10x\": {speedup_ok},\n  \
-         \"flat_speedup_floor_met\": {flat_speedup_ok},\n  \
-         \"identical_across_engines_shards_threads\": {identical}\n}}\n"
+         \"identical_across_shards_threads_and_materializing\": {identical}\n}}\n"
     );
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/BENCH_scale.json", &json).expect("write BENCH_scale.json");
     println!("wrote results/BENCH_scale.json");
 
-    if !identical || !bounded || !speedup_ok || !flat_speedup_ok || !par_eff_ok {
+    if !identical || !bounded || !speedup_ok || !par_eff_ok {
         eprintln!("FAIL: scale gates not met");
         std::process::exit(1);
     }

@@ -1,7 +1,7 @@
 //! The adaptive early-stopping campaign driver (VidPlat-style pruning).
 //!
 //! DESIGN.md §3g measured the per-participant cost floor: ~70% of
-//! campaign time is the seeded behavioural model both engines must run
+//! campaign time is the seeded behavioural model every engine must run
 //! draw-for-draw, so the next order-of-magnitude win is doing *fewer
 //! participants*. VidPlat's headline idea does exactly that for
 //! crowdsourced QoE: stop recruiting for a stimulus once its estimate
@@ -13,7 +13,7 @@
 //!
 //! Participants are processed in index order in fixed-size **epochs**
 //! ([`AdaptiveConfig::epoch`]). Within an epoch the work is sharded and
-//! parallelised exactly like the streaming/flat engines; at the epoch
+//! parallelised exactly like the one-shot sharded engine; at the epoch
 //! **barrier** the epoch's shard folds are merged (shard order) into a
 //! cumulative fold, and the stopping rule runs on that merged state:
 //! a live stimulus stops when its UPLT confidence half-width — the max
@@ -37,8 +37,7 @@
 //!
 //! ## Why live digests equal the truncated full run
 //!
-//! Mask semantics (shared by [`crate::stream::tl_fold_range`] and the
-//! flat engine's column passes):
+//! Mask semantics (implemented by the flat engine's timeline fold):
 //!
 //! * a served participant runs **all** assigned sessions, the control,
 //!   the filters, and the behaviour push exactly as the full run —
@@ -57,7 +56,7 @@
 //! monotone in `epsilon` and independent of the rest of the mask.
 //! With `epsilon = 0` and `max_n = 0` no rule can fire, nothing is
 //! pruned, and the driver is byte-identical — digest *and* counter
-//! fingerprint — to the plain streaming engine.
+//! fingerprint — to the plain sharded engine.
 
 use eyeorg_crowd::RecruitmentService;
 use eyeorg_stats::{resolve_threads, Seed};
@@ -65,8 +64,7 @@ use eyeorg_stats::{resolve_threads, Seed};
 use crate::digest::{DigestParams, StimulusDigest, TimelineDigest};
 use crate::experiment::{AdaptiveConfig, ExperimentConfig, TimelineStimulus};
 use crate::filtering::ParticipantFilter;
-use crate::flat::{flat_tl_epoch, FlatTlCtx};
-use crate::stream::{merge_tl_shards, stream_tl_epoch, tl_frames, StreamConfig, TlCtx, TlShard};
+use crate::flat::{flat_tl_epoch, merge_tl_shards, FlatTlCtx, StreamConfig, TlShard};
 
 /// Critical value for the stopping rule's confidence intervals (~95%
 /// two-sided normal). A fixed constant, not a knob: epsilon is the
@@ -74,11 +72,12 @@ use crate::stream::{merge_tl_shards, stream_tl_epoch, tl_frames, StreamConfig, T
 /// comparable across runs.
 pub const ADAPTIVE_Z: f64 = 1.96;
 
-/// Which engine executes the epochs.
+/// Which engine executes the epochs. The flat engine is the only
+/// sharded engine, so this has one variant; it stays only because
+/// [`crate::checkpoint::checkpointed_timeline_campaign`] keeps the
+/// parameter for its existing callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptiveBackend {
-    /// Participant-at-a-time shard folds ([`crate::stream`]).
-    Streaming,
     /// Structure-of-arrays column passes ([`crate::flat`]).
     Flat,
 }
@@ -181,9 +180,8 @@ fn should_stop(d: &StimulusDigest, ac: &AdaptiveConfig) -> Option<(StopCause, f6
 /// the exact semantics and the determinism argument).
 ///
 /// With an inactive config (`epsilon = 0`, `max_n = 0`) this is
-/// byte-identical to [`crate::stream::stream_timeline_campaign`] /
-/// [`crate::flat::flat_timeline_campaign`] on the same inputs, digest
-/// and counter fingerprint alike.
+/// byte-identical to [`crate::flat::flat_timeline_campaign`] on the
+/// same inputs, digest and counter fingerprint alike.
 #[allow(clippy::too_many_arguments)] // mirrors the engine entry points it wraps
 pub fn adaptive_timeline_campaign(
     stimuli: &[TimelineStimulus],
@@ -194,37 +192,15 @@ pub fn adaptive_timeline_campaign(
     seed: Seed,
     sc: &StreamConfig,
     ac: &AdaptiveConfig,
-    backend: AdaptiveBackend,
 ) -> AdaptiveOutcome {
     assert!(!stimuli.is_empty(), "campaign needs stimuli");
     let _t = eyeorg_obs::phase_timer("core.adaptive_timeline");
     let threads = resolve_threads(cfg.threads);
     let shard = sc.shard_size.max(1);
-    match backend {
-        AdaptiveBackend::Streaming => {
-            let pop = service.population();
-            let frames = tl_frames(stimuli, threads);
-            let ctx = TlCtx::new(
-                stimuli,
-                &frames,
-                &pop,
-                cfg,
-                filters,
-                seed.derive("recruit"),
-                seed.derive("timeline"),
-                sc.params,
-            );
-            drive(stimuli, service, budget, sc, ac, |lo, hi, base, live| {
-                stream_tl_epoch(&ctx, lo, hi, threads, shard, base, live)
-            })
-        }
-        AdaptiveBackend::Flat => {
-            let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
-            drive(stimuli, service, budget, sc, ac, |lo, hi, base, live| {
-                flat_tl_epoch(&ctx, lo, hi, threads, shard, base, live)
-            })
-        }
-    }
+    let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
+    drive(stimuli, service, budget, sc, ac, |lo, hi, base, live| {
+        flat_tl_epoch(&ctx, lo, hi, threads, shard, base, live)
+    })
 }
 
 /// The full mutable state of the epoch loop between two barriers — a
@@ -274,7 +250,7 @@ pub(crate) enum DriveEnd {
     Interrupted(Box<DriveState>),
 }
 
-/// The backend-agnostic epoch loop: recruit an epoch, merge its folds
+/// The epoch loop: recruit an epoch, merge its folds
 /// in shard order, evaluate the stopping rule at the barrier, repeat.
 fn drive<F>(
     stimuli: &[TimelineStimulus],

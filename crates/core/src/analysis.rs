@@ -11,7 +11,7 @@
 
 use eyeorg_stats::{percentile_band, Summary};
 
-use crate::campaign::{AbCampaign, AbVerdict, TimelineCampaign};
+use crate::campaign::{AbCampaign, AbVerdict, ParticipantIndex, TimelineCampaign};
 use crate::filtering::FilterReport;
 
 /// Per-video UPLT samples (seconds) from kept participants, optionally
@@ -120,7 +120,7 @@ impl AbTally {
     }
 
     /// Fold another shard's tally for the same stimulus in. Integer
-    /// adds are exact and associative, so the streaming engine's merge
+    /// adds are exact and associative, so the sharded engine's merge
     /// reproduces the materializing tally byte for byte.
     pub fn merge(&mut self, other: &AbTally) {
         self.a += other.a;
@@ -220,9 +220,11 @@ pub struct BehaviorPoint {
 /// Compute behaviour aggregates for every participant of a timeline
 /// campaign (the unfiltered view §4.2 analyses).
 pub fn behavior_points(campaign: &TimelineCampaign) -> Vec<BehaviorPoint> {
-    (0..campaign.participants.len())
+    let n = campaign.participants.len();
+    let index = ParticipantIndex::new(n, campaign.rows.iter().map(|r| r.participant));
+    (0..n)
         .map(|pi| {
-            let sessions = crate::campaign::sessions_of(&campaign.rows, pi);
+            let sessions = crate::campaign::sessions_of(&campaign.rows, &index, pi);
             let total = eyeorg_crowd::total_time_on_site(&sessions, &campaign.participants[pi]);
             BehaviorPoint {
                 participant: pi,
@@ -243,9 +245,11 @@ pub fn behavior_points(campaign: &TimelineCampaign) -> Vec<BehaviorPoint> {
 
 /// Same aggregates for an A/B campaign.
 pub fn ab_behavior_points(campaign: &AbCampaign) -> Vec<BehaviorPoint> {
-    (0..campaign.participants.len())
+    let n = campaign.participants.len();
+    let index = ParticipantIndex::new(n, campaign.rows.iter().map(|r| r.participant));
+    (0..n)
         .map(|pi| {
-            let sessions = crate::campaign::ab_sessions_of(&campaign.rows, pi);
+            let sessions = crate::campaign::ab_sessions_of(&campaign.rows, &index, pi);
             let total = eyeorg_crowd::total_time_on_site(&sessions, &campaign.participants[pi]);
             BehaviorPoint {
                 participant: pi,
@@ -349,6 +353,8 @@ pub fn ab_demographics(
         })
         .collect();
 
+    let row_owners = campaign.rows.iter().map(|r| r.participant);
+    let index = ParticipantIndex::new(campaign.participants.len(), row_owners);
     let slice = |label: &str, member: &dyn Fn(&eyeorg_crowd::Participant) -> bool| {
         let mut participants = 0usize;
         let mut votes = 0usize;
@@ -359,7 +365,7 @@ pub fn ab_demographics(
                 continue;
             }
             participants += 1;
-            for row in campaign.rows.iter().filter(|r| r.participant == pi) {
+            for row in index.rows_of(pi).iter().map(|&r| &campaign.rows[r]) {
                 let Some(v) = row.verdict else { continue };
                 votes += 1;
                 if v != AbVerdict::NoDifference {

@@ -11,8 +11,8 @@
 //! This is the **materializing** engine: every showing is retained as a
 //! row, which row-level consumers (viz, dataset export, ablations) need
 //! but which makes memory grow with the crowd. Campaigns that only need
-//! the aggregate digest should use [`crate::stream`], the sharded
-//! streaming engine — byte-identical results (pinned by the
+//! the aggregate digest should use [`crate::flat`], the sharded
+//! engine — byte-identical results (pinned by the
 //! `streaming_equivalence` tests) in memory proportional to a shard.
 
 use std::sync::Arc;
@@ -331,14 +331,63 @@ pub fn run_ab_campaign(
     }
 }
 
-/// Sessions of one participant within a campaign, in presentation order.
-pub fn sessions_of(rows: &[TimelineRow], participant: usize) -> Vec<VideoSession> {
-    rows.iter().filter(|r| r.participant == participant).map(|r| r.session).collect()
+/// Row positions grouped by participant, in row order within each
+/// participant, built in one counting and one placing pass (CSR
+/// layout). Per-participant lookups then cost their own rows instead
+/// of a rescan of the whole campaign. Rows need not be grouped by
+/// participant; rows naming a participant at or past `n` are left out.
+pub(crate) struct ParticipantIndex {
+    /// `starts[pi]..starts[pi + 1]` is participant `pi`'s span of `rows`.
+    starts: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl ParticipantIndex {
+    /// Index `participants` (one entry per row, in row order) for
+    /// participants `0..n`.
+    pub(crate) fn new<I>(n: usize, participants: I) -> ParticipantIndex
+    where
+        I: Iterator<Item = usize> + Clone,
+    {
+        let mut starts = vec![0usize; n + 1];
+        for pi in participants.clone().filter(|&pi| pi < n) {
+            starts[pi + 1] += 1;
+        }
+        for pi in 0..n {
+            starts[pi + 1] += starts[pi];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0usize; starts[n]];
+        for (row, pi) in participants.enumerate().filter(|&(_, pi)| pi < n) {
+            rows[next[pi]] = row;
+            next[pi] += 1;
+        }
+        ParticipantIndex { starts, rows }
+    }
+
+    /// Participant `pi`'s row positions, in row order.
+    pub(crate) fn rows_of(&self, pi: usize) -> &[usize] {
+        &self.rows[self.starts[pi]..self.starts[pi + 1]]
+    }
+}
+
+/// Sessions of one participant within a campaign, in presentation
+/// order, looked up through `index` (built over the same `rows`).
+pub(crate) fn sessions_of(
+    rows: &[TimelineRow],
+    index: &ParticipantIndex,
+    participant: usize,
+) -> Vec<VideoSession> {
+    index.rows_of(participant).iter().map(|&r| rows[r].session).collect()
 }
 
 /// Same for A/B rows.
-pub fn ab_sessions_of(rows: &[AbRow], participant: usize) -> Vec<VideoSession> {
-    rows.iter().filter(|r| r.participant == participant).map(|r| r.session).collect()
+pub(crate) fn ab_sessions_of(
+    rows: &[AbRow],
+    index: &ParticipantIndex,
+    participant: usize,
+) -> Vec<VideoSession> {
+    index.rows_of(participant).iter().map(|&r| rows[r].session).collect()
 }
 
 /// Convenience: when a timeline row carries a response, its submitted

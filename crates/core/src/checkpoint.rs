@@ -83,10 +83,9 @@ use crate::digest::{
 };
 use crate::experiment::{AbStimulus, AdaptiveConfig, ExperimentConfig, TimelineStimulus};
 use crate::filtering::{FilterTally, ParticipantFilter};
-use crate::flat::{flat_tl_epoch, FlatTlCtx};
-use crate::stream::{
-    admitted_bases_range, merge_ab_shards, stream_ab_epoch, stream_tl_epoch, tl_frames, AbCtx,
-    AbShard, StreamConfig, TlCtx, TlShard,
+use crate::flat::{
+    admitted_bases_range, flat_ab_epoch, flat_tl_epoch, merge_ab_shards, AbShard, FlatAbCtx,
+    FlatTlCtx, StreamConfig, TlShard,
 };
 
 /// Checkpoint format version this build writes and accepts.
@@ -1010,7 +1009,7 @@ impl TimelineCheckpoint {
     }
 }
 
-/// Fallible counterpart of `stream::merge_tl_shards` for accumulators
+/// Fallible counterpart of `flat::merge_tl_shards` for accumulators
 /// that came from disk: a fresh digest is built from `stimuli` +
 /// `params` and the untrusted state merged in through the
 /// [`MergeError`]-returning path.
@@ -1232,7 +1231,7 @@ fn validate_tl_resume(
 /// replays only the remaining participant range: the composition is
 /// byte-identical, digest and counter fingerprint, to the
 /// uninterrupted run. With an inactive `ac` the run equals
-/// `stream_timeline_campaign`/`flat_timeline_campaign`; barriers then
+/// `flat_timeline_campaign`; barriers then
 /// fall every [`CheckpointConfig::every_shards`] shards.
 ///
 /// Obs contract: the caller resets (and optionally enables) the obs
@@ -1293,45 +1292,18 @@ pub fn checkpointed_timeline_campaign(
             observer(CheckpointEvent::Live(&live));
             observer(CheckpointEvent::Checkpoint(&tl_driver_ckpt(sc.params, st, threads)))
         };
-        match backend {
-            AdaptiveBackend::Streaming => {
-                let pop = service.population();
-                let frames = tl_frames(stimuli, threads);
-                let ctx = TlCtx::new(
-                    stimuli,
-                    &frames,
-                    &pop,
-                    cfg,
-                    filters,
-                    seed.derive("recruit"),
-                    seed.derive("timeline"),
-                    sc.params,
-                );
-                drive_resumable(
-                    stimuli,
-                    service,
-                    budget,
-                    sc,
-                    &eff_ac,
-                    resume_state,
-                    &mut barrier,
-                    |lo, hi, base, live| stream_tl_epoch(&ctx, lo, hi, threads, shard, base, live),
-                )
-            }
-            AdaptiveBackend::Flat => {
-                let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
-                drive_resumable(
-                    stimuli,
-                    service,
-                    budget,
-                    sc,
-                    &eff_ac,
-                    resume_state,
-                    &mut barrier,
-                    |lo, hi, base, live| flat_tl_epoch(&ctx, lo, hi, threads, shard, base, live),
-                )
-            }
-        }
+        let AdaptiveBackend::Flat = backend;
+        let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
+        drive_resumable(
+            stimuli,
+            service,
+            budget,
+            sc,
+            &eff_ac,
+            resume_state,
+            &mut barrier,
+            |lo, hi, base, live| flat_tl_epoch(&ctx, lo, hi, threads, shard, base, live),
+        )
     };
 
     match end {
@@ -1374,8 +1346,8 @@ fn tl_driver_ckpt(params: DigestParams, st: &DriveState, threads: usize) -> Time
 /// Fold the participant index range `[lo, hi)` of a timeline campaign
 /// and return it as a mergeable worker checkpoint — the unit of
 /// multi-process splitting. The worker recomputes the range's
-/// admitted-index base from the seed (the same pre-pass both engines
-/// run), so independently launched workers over adjacent ranges merge
+/// admitted-index base from the seed (the same pre-pass every epoch
+/// runs), so independently launched workers over adjacent ranges merge
 /// into exactly the single-process run's state.
 ///
 /// Obs contract: reset the registry first; the checkpoint's counters
@@ -1390,7 +1362,6 @@ pub fn timeline_worker_checkpoint(
     filters: &[Box<dyn ParticipantFilter + Send + Sync>],
     seed: Seed,
     sc: &StreamConfig,
-    backend: AdaptiveBackend,
 ) -> Result<TimelineCheckpoint, CheckpointError> {
     if stimuli.is_empty() {
         return Err(CheckpointError::Config { detail: "campaign needs stimuli".to_string() });
@@ -1403,34 +1374,11 @@ pub fn timeline_worker_checkpoint(
     let _t = eyeorg_obs::phase_timer("core.worker_checkpoint");
     let threads = resolve_threads(cfg.threads);
     let shard = sc.shard_size.max(1);
-    let pop = service.population();
-    let recruit_seed = seed.derive("recruit");
-    let admitted_before = if lo == 0 {
-        0
-    } else {
-        admitted_bases_range(0, lo, shard, threads, &pop, recruit_seed, 0).1
-    };
+    let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
+    let admitted_before =
+        admitted_bases_range(0, lo, shard, threads, &ctx.pop, ctx.recruit_seed, 0).1;
     let live = vec![true; stimuli.len()];
-    let (folds, _) = match backend {
-        AdaptiveBackend::Streaming => {
-            let frames = tl_frames(stimuli, threads);
-            let ctx = TlCtx::new(
-                stimuli,
-                &frames,
-                &pop,
-                cfg,
-                filters,
-                recruit_seed,
-                seed.derive("timeline"),
-                sc.params,
-            );
-            stream_tl_epoch(&ctx, lo, hi, threads, shard, admitted_before, &live)
-        }
-        AdaptiveBackend::Flat => {
-            let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
-            flat_tl_epoch(&ctx, lo, hi, threads, shard, admitted_before, &live)
-        }
-    };
+    let (folds, _) = flat_tl_epoch(&ctx, lo, hi, threads, shard, admitted_before, &live);
     let mut acc = TlShard::new(stimuli, &sc.params);
     for fold in &folds {
         acc.merge_from(fold);
@@ -1623,7 +1571,7 @@ impl AbCheckpoint {
     }
 }
 
-/// Fallible counterpart of `stream::merge_ab_shards` for accumulators
+/// Fallible counterpart of `flat::merge_ab_shards` for accumulators
 /// that came from disk.
 fn ab_digest_of(
     acc: &AbShard,
@@ -1667,8 +1615,7 @@ pub enum AbRunOutcome {
 
 /// Fold the participant index range `[lo, hi)` of an A/B campaign into
 /// a mergeable worker checkpoint — the A/B counterpart of
-/// [`timeline_worker_checkpoint`] (streaming engine; A/B has no flat
-/// epoch driver).
+/// [`timeline_worker_checkpoint`].
 #[allow(clippy::too_many_arguments)] // mirrors the engine entry points it wraps
 pub fn ab_worker_checkpoint(
     stimuli: &[AbStimulus],
@@ -1691,23 +1638,10 @@ pub fn ab_worker_checkpoint(
     let _t = eyeorg_obs::phase_timer("core.worker_checkpoint");
     let threads = resolve_threads(cfg.threads);
     let shard = sc.shard_size.max(1);
-    let pop = service.population();
-    let recruit_seed = seed.derive("recruit");
-    let admitted_before = if lo == 0 {
-        0
-    } else {
-        admitted_bases_range(0, lo, shard, threads, &pop, recruit_seed, 0).1
-    };
-    let ctx = AbCtx::new(
-        stimuli,
-        &pop,
-        cfg,
-        filters,
-        recruit_seed,
-        seed.derive("ab-assign"),
-        seed.derive("ab-side"),
-    );
-    let (folds, _) = stream_ab_epoch(&ctx, lo, hi, threads, shard, admitted_before);
+    let ctx = FlatAbCtx::new(stimuli, service, cfg, filters, seed, threads);
+    let admitted_before =
+        admitted_bases_range(0, lo, shard, threads, &ctx.pop, ctx.recruit_seed, 0).1;
+    let (folds, _) = flat_ab_epoch(&ctx, lo, hi, threads, shard, admitted_before);
     let mut acc = AbShard::new(stimuli);
     for fold in &folds {
         acc.merge_from(fold);
@@ -1753,7 +1687,7 @@ fn validate_ab_resume(
     Ok(())
 }
 
-/// Run an A/B campaign (streaming engine) with checkpoint/resume: the
+/// Run an A/B campaign with checkpoint/resume: the
 /// observer sees a checkpoint every [`CheckpointConfig::every_shards`]
 /// shards and can interrupt by returning `false`; resuming replays only
 /// the remaining range, byte-identical to never stopping. Same obs
@@ -1778,16 +1712,7 @@ pub fn checkpointed_ab_campaign(
     let threads = resolve_threads(cfg.threads);
     let shard = sc.shard_size.max(1);
     let chunk = ck.every_shards.max(1).saturating_mul(shard);
-    let pop = service.population();
-    let ctx = AbCtx::new(
-        stimuli,
-        &pop,
-        cfg,
-        filters,
-        seed.derive("recruit"),
-        seed.derive("ab-assign"),
-        seed.derive("ab-side"),
-    );
+    let ctx = FlatAbCtx::new(stimuli, service, cfg, filters, seed, threads);
     let (mut acc, mut processed) = match resume {
         None => (AbShard::new(stimuli), 0usize),
         Some(c) => {
@@ -1800,7 +1725,7 @@ pub fn checkpointed_ab_campaign(
     while processed < n_participants {
         let hi = processed.saturating_add(chunk).min(n_participants);
         let (folds, range_admitted) =
-            stream_ab_epoch(&ctx, processed, hi, threads, shard, admitted);
+            flat_ab_epoch(&ctx, processed, hi, threads, shard, admitted);
         for fold in &folds {
             acc.merge_from(fold);
         }

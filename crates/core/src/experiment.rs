@@ -76,7 +76,7 @@ impl Default for ExperimentConfig {
 /// the decision sequence — and everything downstream of it — is
 /// byte-identical across shard sizes, thread counts, and chaos seeds.
 /// With `epsilon = 0` and `max_n = 0` no rule can ever fire and the
-/// adaptive engine is byte-identical to the plain streaming engine.
+/// adaptive driver is byte-identical to the plain sharded engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Participants recruited between stopping evaluations. Values `< 1`
@@ -104,7 +104,7 @@ impl Default for AdaptiveConfig {
 
 impl AdaptiveConfig {
     /// Whether any stopping rule is in force. When `false` the adaptive
-    /// driver degenerates to the streaming engine (and records none of
+    /// driver degenerates to the plain sharded engine (and records none of
     /// the `adaptive.*` counters, keeping fingerprints identical).
     pub fn is_active(&self) -> bool {
         self.epsilon > 0.0 || self.max_n > 0

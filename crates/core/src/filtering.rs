@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use eyeorg_crowd::VideoSession;
 use eyeorg_stats::percentile_band;
 
-use crate::campaign::{AbCampaign, ControlRow, TimelineCampaign};
+use crate::campaign::{AbCampaign, ControlRow, ParticipantIndex, TimelineCampaign};
 
 /// The paper's action threshold: the most active trusted participant
 /// performed 369 seek actions; paid participants 50 % above that are
@@ -144,7 +144,7 @@ impl FilterReport {
 }
 
 /// A filter pipeline: boxed filters applied in order. The `Send + Sync`
-/// bounds let the streaming engine evaluate the same pipeline from
+/// bounds let the sharded engine evaluate the same pipeline from
 /// shard workers (every filter here is a plain `Copy` struct).
 pub type FilterPipeline = Vec<Box<dyn ParticipantFilter + Send + Sync>>;
 
@@ -226,7 +226,7 @@ pub fn paper_pipeline() -> FilterPipeline {
 /// Run the pipeline over one participant and bump the filter counters.
 ///
 /// Both engines funnel through this: the materializing [`filter_timeline`]
-/// per retained participant, the streaming engine inline per shard — which
+/// per retained participant, the sharded engine inline per shard — which
 /// is what keeps their `counter_fingerprint`s byte-identical.
 pub fn decide(
     filters: &[Box<dyn ParticipantFilter + Send + Sync>],
@@ -261,10 +261,10 @@ fn run_pipeline(
         control: 0,
         kept: BTreeSet::new(),
     };
+    let ctrl_index = ParticipantIndex::new(n_participants, controls.iter().map(|c| c.participant));
     for pi in 0..n_participants {
         let sessions = sessions_of(pi);
-        let ctrl: Vec<&ControlRow> =
-            controls.iter().filter(|c| c.participant == pi).collect();
+        let ctrl: Vec<&ControlRow> = ctrl_index.rows_of(pi).iter().map(|&c| &controls[c]).collect();
         match decide(filters, &sessions, &ctrl) {
             FilterDecision::Engagement => report.engagement += 1,
             FilterDecision::Soft => report.soft += 1,
@@ -282,9 +282,11 @@ pub fn filter_timeline(
     campaign: &TimelineCampaign,
     filters: &[Box<dyn ParticipantFilter + Send + Sync>],
 ) -> FilterReport {
+    let n = campaign.participants.len();
+    let index = ParticipantIndex::new(n, campaign.rows.iter().map(|r| r.participant));
     run_pipeline(
-        campaign.participants.len(),
-        |pi| crate::campaign::sessions_of(&campaign.rows, pi),
+        n,
+        |pi| crate::campaign::sessions_of(&campaign.rows, &index, pi),
         &campaign.controls,
         filters,
     )
@@ -295,9 +297,11 @@ pub fn filter_ab(
     campaign: &AbCampaign,
     filters: &[Box<dyn ParticipantFilter + Send + Sync>],
 ) -> FilterReport {
+    let n = campaign.participants.len();
+    let index = ParticipantIndex::new(n, campaign.rows.iter().map(|r| r.participant));
     run_pipeline(
-        campaign.participants.len(),
-        |pi| crate::campaign::ab_sessions_of(&campaign.rows, pi),
+        n,
+        |pi| crate::campaign::ab_sessions_of(&campaign.rows, &index, pi),
         &campaign.controls,
         filters,
     )

@@ -13,13 +13,12 @@
 //!   types (PLT timeline, H1-vs-H2 A/B, ad-blocker A/B).
 //! * [`campaign`] — recruitment + serving + response collection (the
 //!   materializing engine: full rows retained for row-level analysis).
-//! * [`stream`] — the streaming, sharded engine: the same seeded
-//!   pipeline folded shard-by-shard into bounded-memory digests —
-//!   byte-identical results, memory proportional to a shard.
-//! * [`flat`] — the flat data-plane engine: the streaming pipeline in
-//!   structure-of-arrays form (per-stimulus planes, per-worker arena
-//!   scratch, stimulus-blocked inner loop) — byte-identical digests,
-//!   allocation-free inner loop.
+//! * [`flat`] — the sharded engine: the same seeded pipeline folded
+//!   shard-by-shard into bounded-memory digests, in structure-of-arrays
+//!   form (per-stimulus planes, per-worker arena scratch,
+//!   stimulus-blocked inner loop) — byte-identical results, memory
+//!   proportional to a shard, one range fold per test kind.
+//! * [`adaptive`] — the early-stopping driver over the sharded engine.
 //! * [`digest`] — mergeable campaign digests and the materializing
 //!   folds that pin the two engines to each other.
 //! * [`checkpoint`] — versioned JSONL serialization of the full
@@ -80,7 +79,6 @@ pub mod experiment;
 pub mod filtering;
 pub mod flat;
 pub mod report;
-pub mod stream;
 pub mod validation;
 pub mod viz;
 
@@ -120,7 +118,6 @@ pub mod prelude {
     };
     pub use crate::dataset::{crowd_uplt_from_dataset, read_ab, read_timeline, scores_from_dataset};
     pub use crate::report::{export_ab, export_timeline, render_table1, table1_row, to_json};
-    pub use crate::flat::{flat_ab_campaign, flat_timeline_campaign};
-    pub use crate::stream::{stream_ab_campaign, stream_timeline_campaign, StreamConfig};
+    pub use crate::flat::{flat_ab_campaign, flat_timeline_campaign, StreamConfig};
     pub use crate::validation::{captcha_admits, captcha_gate, GateReport};
 }

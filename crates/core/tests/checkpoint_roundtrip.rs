@@ -7,15 +7,19 @@
 //!   per-stimulus digest set — checked through the digest fingerprint
 //!   (canonical `Debug`) after a worker-checkpoint round trip.
 //! * Interrupt → save → load → resume composes to the uninterrupted
-//!   run's digest fingerprint, both backends, adaptive and plain.
+//!   run's digest fingerprint, adaptive and plain.
 //! * Split ranges merged through checkpoints equal the single run.
+//! * A/B checkpoints (interrupted at every barrier, or split across
+//!   workers) equal `flat_ab_campaign` in digest *and* counter
+//!   fingerprint.
 //! * Truncated or corrupted bytes come back as typed
 //!   [`CheckpointError`]s — never a panic (D4 discipline end to end).
 //!
-//! Counter-fingerprint equivalence needs a process-global obs registry
-//! and lives in `merge_digests --smoke` / `scripts/verify.sh`.
+//! The obs registry is process-global, so every test here holds
+//! [`obs_lock`]: the one test that enables the registry and compares
+//! counter fingerprints never shares it with a concurrent campaign.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use eyeorg_browser::BrowserConfig;
 use eyeorg_core::prelude::*;
@@ -25,6 +29,16 @@ use eyeorg_video::CaptureConfig;
 use eyeorg_workload::alexa_like;
 
 const N: usize = 300;
+
+/// Serializes this binary's tests around the global obs registry.
+fn obs_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn counters() -> String {
+    eyeorg_obs::snapshot("checkpoint-roundtrip", 0).counter_fingerprint()
+}
 
 fn capture() -> CaptureConfig {
     CaptureConfig { repeats: 2, ..CaptureConfig::default() }
@@ -72,13 +86,12 @@ fn tl_worker(lo: usize, hi: usize, shard: usize, exact_cap: usize) -> TimelineCh
         &paper_pipeline(),
         Seed(1440),
         &sc(shard, exact_cap),
-        AdaptiveBackend::Streaming,
     )
     .expect("worker checkpoint")
 }
 
 fn reference_fp(exact_cap: usize) -> String {
-    stream_timeline_campaign(
+    flat_timeline_campaign(
         tl_stimuli(),
         &CrowdFlower,
         N,
@@ -95,7 +108,7 @@ fn reference_fp(exact_cap: usize) -> String {
 // -------------------------------------------------------------------
 
 /// Save→load→finalize of a full-range worker checkpoint reproduces the
-/// plain streaming run's digest fingerprint bit for bit, in both
+/// plain sharded run's digest fingerprint bit for bit, in both
 /// sketch regimes. With `exact_cap = 2048` every sketch stays exact
 /// (full sorted sample as bit-patterns); with `exact_cap = 4` every
 /// sketch has spilled to bins — both must round-trip exactly. This
@@ -105,6 +118,7 @@ fn reference_fp(exact_cap: usize) -> String {
 /// and behaviour states.
 #[test]
 fn save_load_round_trip_is_bit_exact_in_both_sketch_regimes() {
+    let _obs = obs_lock();
     for exact_cap in [2048, 4] {
         let ck = tl_worker(0, N, 64, exact_cap);
         let reloaded = TimelineCheckpoint::load(&ck.save()).expect("round trip loads");
@@ -122,12 +136,13 @@ fn save_load_round_trip_is_bit_exact_in_both_sketch_regimes() {
 /// encoding, and the digest equals a zero-participant run.
 #[test]
 fn empty_checkpoint_round_trips_inf_sentinels() {
+    let _obs = obs_lock();
     let ck = tl_worker(0, 0, 64, 2048);
     let reloaded = TimelineCheckpoint::load(&ck.save()).expect("empty checkpoint loads");
     assert_eq!(ck.save(), reloaded.save());
     let digest =
         reloaded.finalize(tl_stimuli(), &CrowdFlower).expect("finalize empty checkpoint");
-    let direct = stream_timeline_campaign(
+    let direct = flat_timeline_campaign(
         tl_stimuli(),
         &CrowdFlower,
         0,
@@ -139,10 +154,11 @@ fn empty_checkpoint_round_trips_inf_sentinels() {
     assert_eq!(digest.fingerprint(), direct.fingerprint());
 }
 
-/// A/B worker checkpoints round-trip and finalize to the streaming
-/// A/B digest.
+/// A/B worker checkpoints round-trip and finalize to the sharded A/B
+/// digest.
 #[test]
 fn ab_save_load_round_trip_is_bit_exact() {
+    let _obs = obs_lock();
     let ck = ab_worker_checkpoint(
         ab_stimuli(),
         &CrowdFlower,
@@ -160,7 +176,7 @@ fn ab_save_load_round_trip_is_bit_exact() {
         .finalize(ab_stimuli(), &CrowdFlower)
         .expect("finalize ab checkpoint")
         .fingerprint();
-    let direct = stream_ab_campaign(
+    let direct = flat_ab_campaign(
         ab_stimuli(),
         &CrowdFlower,
         N,
@@ -181,6 +197,7 @@ fn ab_save_load_round_trip_is_bit_exact() {
 /// — merge into the single-process run's digest fingerprint.
 #[test]
 fn split_ranges_merge_to_single_run_fingerprint() {
+    let _obs = obs_lock();
     let mut left = TimelineCheckpoint::load(&tl_worker(0, 100, 32, 2048).save()).expect("w0");
     let mid = TimelineCheckpoint::load(&tl_worker(100, 220, 64, 2048).save()).expect("w1");
     let right = TimelineCheckpoint::load(&tl_worker(220, N, 16, 2048).save()).expect("w2");
@@ -199,6 +216,7 @@ fn split_ranges_merge_to_single_run_fingerprint() {
 /// unchanged.
 #[test]
 fn merge_rejects_gaps_and_mismatches() {
+    let _obs = obs_lock();
     let w0 = tl_worker(0, 100, 64, 2048);
     let w2 = tl_worker(150, 200, 64, 2048);
     let mut acc = TimelineCheckpoint::load(&w0.save()).expect("w0");
@@ -238,7 +256,6 @@ fn merge_rejects_gaps_and_mismatches() {
 
 fn run_checkpointed(
     ac: &AdaptiveConfig,
-    backend: AdaptiveBackend,
     resume: Option<&TimelineCheckpoint>,
     stop_after: Option<usize>,
 ) -> RunOutcome {
@@ -252,7 +269,7 @@ fn run_checkpointed(
         Seed(1440),
         &sc(32, 2048),
         ac,
-        backend,
+        AdaptiveBackend::Flat,
         resume,
         &CheckpointConfig { every_shards: 2 },
         &mut |ev| match ev {
@@ -268,34 +285,30 @@ fn run_checkpointed(
 
 /// Interrupt at the first barrier, serialize, reload, resume: the
 /// composition's digest fingerprint equals the uninterrupted run, for
-/// both backends and for plain + adaptive configs.
+/// plain + adaptive configs.
 #[test]
 fn interrupt_resume_composes_to_uninterrupted_fingerprint() {
+    let _obs = obs_lock();
     let active = AdaptiveConfig { epoch: 64, epsilon: 0.25, min_n: 16, max_n: 0 };
-    for backend in [AdaptiveBackend::Streaming, AdaptiveBackend::Flat] {
-        for ac in [inactive(), active] {
-            let RunOutcome::Complete(full) = run_checkpointed(&ac, backend, None, None) else {
-                panic!("uninterrupted run must complete");
-            };
-            let RunOutcome::Interrupted(ck) = run_checkpointed(&ac, backend, None, Some(1))
-            else {
-                panic!("observer interrupts at the first barrier");
-            };
-            assert!(ck.is_resumable());
-            let reloaded = TimelineCheckpoint::load(&ck.save()).expect("driver checkpoint loads");
-            let RunOutcome::Complete(resumed) =
-                run_checkpointed(&ac, backend, Some(&reloaded), None)
-            else {
-                panic!("resumed run must complete");
-            };
-            assert_eq!(
-                resumed.digest.fingerprint(),
-                full.digest.fingerprint(),
-                "backend {backend:?}, epsilon {}",
-                ac.epsilon
-            );
-            assert_eq!(resumed.decision_fingerprint(), full.decision_fingerprint());
-        }
+    for ac in [inactive(), active] {
+        let RunOutcome::Complete(full) = run_checkpointed(&ac, None, None) else {
+            panic!("uninterrupted run must complete");
+        };
+        let RunOutcome::Interrupted(ck) = run_checkpointed(&ac, None, Some(1)) else {
+            panic!("observer interrupts at the first barrier");
+        };
+        assert!(ck.is_resumable());
+        let reloaded = TimelineCheckpoint::load(&ck.save()).expect("driver checkpoint loads");
+        let RunOutcome::Complete(resumed) = run_checkpointed(&ac, Some(&reloaded), None) else {
+            panic!("resumed run must complete");
+        };
+        assert_eq!(
+            resumed.digest.fingerprint(),
+            full.digest.fingerprint(),
+            "epsilon {}",
+            ac.epsilon
+        );
+        assert_eq!(resumed.decision_fingerprint(), full.decision_fingerprint());
     }
 }
 
@@ -304,6 +317,7 @@ fn interrupt_resume_composes_to_uninterrupted_fingerprint() {
 /// read-outs via [`live_line_from_digest`].
 #[test]
 fn live_lines_progress_and_final_matches_digest() {
+    let _obs = obs_lock();
     let mut lines: Vec<String> = Vec::new();
     let outcome = checkpointed_timeline_campaign(
         tl_stimuli(),
@@ -314,7 +328,7 @@ fn live_lines_progress_and_final_matches_digest() {
         Seed(1440),
         &sc(32, 2048),
         &inactive(),
-        AdaptiveBackend::Streaming,
+        AdaptiveBackend::Flat,
         None,
         &CheckpointConfig { every_shards: 2 },
         &mut |ev| {
@@ -344,9 +358,10 @@ fn live_lines_progress_and_final_matches_digest() {
 }
 
 /// The A/B driver interrupt/resume composition equals the plain
-/// streaming A/B run.
+/// uninterrupted A/B run.
 #[test]
 fn ab_interrupt_resume_composes() {
+    let _obs = obs_lock();
     let run = |resume: Option<&AbCheckpoint>, stop_after: Option<usize>| {
         let mut seen = 0usize;
         checkpointed_ab_campaign(
@@ -375,6 +390,99 @@ fn ab_interrupt_resume_composes() {
     assert_eq!(resumed.fingerprint(), full.fingerprint());
 }
 
+/// A/B checkpointing rides the flat fold: `checkpointed_ab_campaign`
+/// interrupted at *every* barrier (each leg reloaded from its bytes
+/// into a reset registry, as a fresh process would) and
+/// `ab_worker_checkpoint` ranges split across workers and merged both
+/// land on `flat_ab_campaign`'s digest and counter fingerprints, at
+/// every shard size and thread count.
+#[test]
+fn ab_checkpoints_match_flat_campaign_digest_and_counters() {
+    let _obs = obs_lock();
+    eyeorg_obs::enable();
+    for shard in [1usize, 16, 64] {
+        for threads in [1usize, 2] {
+            let cfg = ExperimentConfig { threads, ..ExperimentConfig::default() };
+            let sc = sc(shard, 2048);
+            let ctx = format!("shard={shard} threads={threads}");
+            eyeorg_obs::reset();
+            let reference = flat_ab_campaign(
+                ab_stimuli(),
+                &CrowdFlower,
+                N,
+                &cfg,
+                &paper_pipeline(),
+                Seed(1441),
+                &sc,
+            )
+            .fingerprint();
+            let reference_counters = counters();
+
+            // Interrupt at every barrier; the last leg resumes from a
+            // checkpoint that already covers every participant.
+            eyeorg_obs::reset();
+            let mut resume: Option<AbCheckpoint> = None;
+            let mut legs = 0usize;
+            let resumed = loop {
+                let out = checkpointed_ab_campaign(
+                    ab_stimuli(),
+                    &CrowdFlower,
+                    N,
+                    &cfg,
+                    &paper_pipeline(),
+                    Seed(1441),
+                    &sc,
+                    resume.as_ref(),
+                    &CheckpointConfig { every_shards: 2 },
+                    &mut |_| false,
+                )
+                .expect("checkpointed ab leg");
+                match out {
+                    AbRunOutcome::Complete(digest) => break digest,
+                    AbRunOutcome::Interrupted(ck) => {
+                        legs += 1;
+                        let bytes = ck.save();
+                        eyeorg_obs::reset();
+                        resume = Some(AbCheckpoint::load(&bytes).expect("ab checkpoint loads"));
+                    }
+                }
+            };
+            assert_eq!(legs, N.div_ceil(2 * shard), "{ctx}");
+            assert_eq!(resumed.fingerprint(), reference, "resume {ctx}");
+            assert_eq!(counters(), reference_counters, "resume counters {ctx}");
+
+            // Split across three workers, each in a fresh registry.
+            let mut parts = [(0usize, 100usize), (100, 220), (220, N)].map(|(lo, hi)| {
+                eyeorg_obs::reset();
+                let ck = ab_worker_checkpoint(
+                    ab_stimuli(),
+                    &CrowdFlower,
+                    lo,
+                    hi,
+                    &cfg,
+                    &paper_pipeline(),
+                    Seed(1441),
+                    &sc,
+                )
+                .expect("ab worker checkpoint");
+                AbCheckpoint::load(&ck.save()).expect("ab worker checkpoint loads")
+            });
+            let [merged, rest @ ..] = &mut parts;
+            for part in rest.iter() {
+                merged.merge(part).expect("adjacent ab ranges merge");
+            }
+            let digest =
+                merged.finalize(ab_stimuli(), &CrowdFlower).expect("finalize merged ab checkpoint");
+            eyeorg_obs::reset();
+            merged.restore_counters();
+            assert_eq!(digest.fingerprint(), reference, "split {ctx}");
+            assert_eq!(counters(), reference_counters, "split counters {ctx}");
+        }
+    }
+    eyeorg_obs::reset();
+    eyeorg_obs::disable();
+}
+
 // -------------------------------------------------------------------
 // Hostile bytes
 // -------------------------------------------------------------------
@@ -384,6 +492,7 @@ fn ab_interrupt_resume_composes() {
 /// never a panic.
 #[test]
 fn truncated_and_corrupted_bytes_yield_typed_errors() {
+    let _obs = obs_lock();
     let good = tl_worker(0, 100, 64, 4).save();
 
     // Whole-line truncations.
@@ -445,6 +554,7 @@ fn truncated_and_corrupted_bytes_yield_typed_errors() {
 /// different digest params is refused.
 #[test]
 fn resume_rejects_worker_checkpoints_and_params_drift() {
+    let _obs = obs_lock();
     let worker = tl_worker(0, 100, 64, 2048);
     assert!(!worker.is_resumable());
     let err = checkpointed_timeline_campaign(
@@ -456,7 +566,7 @@ fn resume_rejects_worker_checkpoints_and_params_drift() {
         Seed(1440),
         &sc(32, 2048),
         &inactive(),
-        AdaptiveBackend::Streaming,
+        AdaptiveBackend::Flat,
         Some(&worker),
         &CheckpointConfig::default(),
         &mut |_| true,
@@ -464,12 +574,7 @@ fn resume_rejects_worker_checkpoints_and_params_drift() {
     .expect_err("worker checkpoint must not resume");
     assert!(matches!(err, CheckpointError::Config { .. }), "{err:?}");
 
-    let RunOutcome::Interrupted(driver) = run_checkpointed(
-        &inactive(),
-        AdaptiveBackend::Streaming,
-        None,
-        Some(1),
-    ) else {
+    let RunOutcome::Interrupted(driver) = run_checkpointed(&inactive(), None, Some(1)) else {
         panic!("interrupts")
     };
     let err = checkpointed_timeline_campaign(
@@ -481,7 +586,7 @@ fn resume_rejects_worker_checkpoints_and_params_drift() {
         Seed(1440),
         &sc(32, 4), // different exact_cap than the checkpoint's params
         &inactive(),
-        AdaptiveBackend::Streaming,
+        AdaptiveBackend::Flat,
         Some(&driver),
         &CheckpointConfig::default(),
         &mut |_| true,

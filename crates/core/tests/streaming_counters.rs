@@ -1,5 +1,5 @@
-//! Counter-fingerprint equivalence between the streaming and
-//! materializing engines. Lives in its own integration-test binary (=
+//! Counter-fingerprint equivalence between the sharded (`core::flat`)
+//! and materializing engines. Lives in its own integration-test binary (=
 //! its own process) because the obs registry is process-global: any
 //! concurrently running campaign would pollute the snapshots.
 
@@ -36,19 +36,6 @@ fn counter_fingerprints_match_across_engines_shards_and_threads() {
 
     for shard in [1usize, 16, 64, n + 1] {
         for threads in [1usize, 2, 0] {
-            eyeorg_obs::reset();
-            let _ = stream_timeline_campaign(
-                &tl,
-                &CrowdFlower,
-                n,
-                &cfg(threads),
-                &paper_pipeline(),
-                Seed(820),
-                &StreamConfig { shard_size: shard, ..StreamConfig::default() },
-            );
-            let got = eyeorg_obs::snapshot("tl", threads).counter_fingerprint();
-            assert_eq!(got, reference, "timeline shard={shard} threads={threads}");
-
             eyeorg_obs::reset();
             let _ = flat_timeline_campaign(
                 &tl,
@@ -92,21 +79,8 @@ fn counter_fingerprints_match_across_engines_shards_and_threads() {
     let _ = digest_ab(&campaign, &report, n);
     let reference = eyeorg_obs::snapshot("ab", 0).counter_fingerprint();
 
-    for shard in [1usize, 64, n + 1] {
+    for shard in [1usize, 16, 64, n + 1] {
         for threads in [1usize, 2, 0] {
-            eyeorg_obs::reset();
-            let _ = stream_ab_campaign(
-                &ab,
-                &CrowdFlower,
-                n,
-                &cfg(threads),
-                &paper_pipeline(),
-                Seed(830),
-                &StreamConfig { shard_size: shard, ..StreamConfig::default() },
-            );
-            let got = eyeorg_obs::snapshot("ab", threads).counter_fingerprint();
-            assert_eq!(got, reference, "ab shard={shard} threads={threads}");
-
             eyeorg_obs::reset();
             let _ = flat_ab_campaign(
                 &ab,
@@ -120,5 +94,21 @@ fn counter_fingerprints_match_across_engines_shards_and_threads() {
             let got = eyeorg_obs::snapshot("ab-flat", threads).counter_fingerprint();
             assert_eq!(got, reference, "flat ab shard={shard} threads={threads}");
         }
+    }
+    for chaos in [7u64, 23] {
+        eyeorg_stats::set_chaos_seed(chaos);
+        eyeorg_obs::reset();
+        let _ = flat_ab_campaign(
+            &ab,
+            &CrowdFlower,
+            n,
+            &cfg(0),
+            &paper_pipeline(),
+            Seed(830),
+            &StreamConfig { shard_size: 16, ..StreamConfig::default() },
+        );
+        eyeorg_stats::set_chaos_seed(0);
+        let got = eyeorg_obs::snapshot("ab-flat-chaos", 0).counter_fingerprint();
+        assert_eq!(got, reference, "flat ab chaos={chaos}");
     }
 }

@@ -1,7 +1,8 @@
-//! Streaming-vs-materializing equivalence: the sharded engine must
-//! reproduce the materializing engine's digest **byte for byte** — for
-//! every crowd size, every shard size (including shards larger than the
-//! crowd), and every thread count. Counter-fingerprint equivalence
+//! Sharded-vs-materializing equivalence: the sharded engine
+//! (`core::flat`) must reproduce the materializing engine's digest
+//! **byte for byte** — for every crowd size, every shard size
+//! (including shards larger than the crowd), every thread count, and
+//! every chaos schedule. Counter-fingerprint equivalence
 //! lives in `streaming_counters.rs` (its own process, because the obs
 //! registry is global).
 
@@ -43,7 +44,7 @@ fn stream_cfg(shard_size: usize) -> StreamConfig {
 }
 
 #[test]
-fn timeline_streaming_matches_materializing_across_n_and_shard_sizes() {
+fn timeline_flat_matches_materializing_across_n_shards_and_threads() {
     let stimuli = tl_stimuli();
     for n in [1usize, 7, 100, 1000] {
         let campaign =
@@ -51,88 +52,6 @@ fn timeline_streaming_matches_materializing_across_n_and_shard_sizes() {
         let report = filter_timeline(&campaign, &paper_pipeline());
         let reference =
             digest_timeline(&campaign, &report, n, &DigestParams::default()).fingerprint();
-        for shard in [1usize, 16, 64, n + 1] {
-            let digest = stream_timeline_campaign(
-                stimuli,
-                &CrowdFlower,
-                n,
-                &cfg(0),
-                &paper_pipeline(),
-                Seed(970),
-                &stream_cfg(shard),
-            );
-            assert_eq!(digest.fingerprint(), reference, "n={n} shard={shard}");
-            // The filter report's counts are part of the digest, but
-            // pin the overlap explicitly too.
-            assert_eq!(digest.filters, FilterTally::of_report(&report), "n={n} shard={shard}");
-        }
-    }
-}
-
-#[test]
-fn ab_streaming_matches_materializing_across_n_and_shard_sizes() {
-    let stimuli = ab_stimuli();
-    for n in [1usize, 7, 100, 1000] {
-        let campaign = run_ab_campaign(stimuli.clone(), &CrowdFlower, n, &cfg(0), Seed(980));
-        let report = filter_ab(&campaign, &paper_pipeline());
-        let reference = digest_ab(&campaign, &report, n).fingerprint();
-        for shard in [1usize, 64, n + 1] {
-            let digest = stream_ab_campaign(
-                stimuli,
-                &CrowdFlower,
-                n,
-                &cfg(0),
-                &paper_pipeline(),
-                Seed(980),
-                &stream_cfg(shard),
-            );
-            assert_eq!(digest.fingerprint(), reference, "n={n} shard={shard}");
-            assert_eq!(digest.filters, FilterTally::of_report(&report), "n={n} shard={shard}");
-        }
-    }
-}
-
-#[test]
-fn streaming_digest_identical_across_thread_counts() {
-    let stimuli = tl_stimuli();
-    let reference = stream_timeline_campaign(
-        stimuli,
-        &CrowdFlower,
-        300,
-        &cfg(1),
-        &paper_pipeline(),
-        Seed(990),
-        &stream_cfg(32),
-    )
-    .fingerprint();
-    for threads in [2usize, 4, 0] {
-        let digest = stream_timeline_campaign(
-            stimuli,
-            &CrowdFlower,
-            300,
-            &cfg(threads),
-            &paper_pipeline(),
-            Seed(990),
-            &stream_cfg(32),
-        );
-        assert_eq!(digest.fingerprint(), reference, "threads={threads}");
-    }
-}
-
-#[test]
-fn flat_timeline_matches_streaming_across_n_shards_and_threads() {
-    let stimuli = tl_stimuli();
-    for n in [1usize, 7, 100, 1000] {
-        let reference = stream_timeline_campaign(
-            stimuli,
-            &CrowdFlower,
-            n,
-            &cfg(0),
-            &paper_pipeline(),
-            Seed(970),
-            &stream_cfg(64),
-        )
-        .fingerprint();
         for shard in [1usize, 16, 64, n + 1] {
             for threads in [1usize, 2, 0] {
                 let digest = flat_timeline_campaign(
@@ -144,30 +63,23 @@ fn flat_timeline_matches_streaming_across_n_shards_and_threads() {
                     Seed(970),
                     &stream_cfg(shard),
                 );
-                assert_eq!(
-                    digest.fingerprint(),
-                    reference,
-                    "n={n} shard={shard} threads={threads}"
-                );
+                let ctx = format!("n={n} shard={shard} threads={threads}");
+                assert_eq!(digest.fingerprint(), reference, "{ctx}");
+                // The filter report's counts are part of the digest, but
+                // pin the overlap explicitly too.
+                assert_eq!(digest.filters, FilterTally::of_report(&report), "{ctx}");
             }
         }
     }
 }
 
 #[test]
-fn flat_ab_matches_streaming_across_n_shards_and_threads() {
+fn ab_flat_matches_materializing_across_n_shards_and_threads() {
     let stimuli = ab_stimuli();
     for n in [1usize, 7, 100, 1000] {
-        let reference = stream_ab_campaign(
-            stimuli,
-            &CrowdFlower,
-            n,
-            &cfg(0),
-            &paper_pipeline(),
-            Seed(980),
-            &stream_cfg(64),
-        )
-        .fingerprint();
+        let campaign = run_ab_campaign(stimuli.clone(), &CrowdFlower, n, &cfg(0), Seed(980));
+        let report = filter_ab(&campaign, &paper_pipeline());
+        let reference = digest_ab(&campaign, &report, n).fingerprint();
         for shard in [1usize, 16, 64, n + 1] {
             for threads in [1usize, 2, 0] {
                 let digest = flat_ab_campaign(
@@ -179,25 +91,43 @@ fn flat_ab_matches_streaming_across_n_shards_and_threads() {
                     Seed(980),
                     &stream_cfg(shard),
                 );
-                assert_eq!(
-                    digest.fingerprint(),
-                    reference,
-                    "n={n} shard={shard} threads={threads}"
-                );
+                let ctx = format!("n={n} shard={shard} threads={threads}");
+                assert_eq!(digest.fingerprint(), reference, "{ctx}");
+                assert_eq!(digest.filters, FilterTally::of_report(&report), "{ctx}");
             }
         }
     }
 }
 
 #[test]
-fn digests_identical_across_backends_shards_threads_and_chaos_seeds() {
-    // The full PR-10 identity matrix: every engine × shard size ×
-    // worker count × chaos schedule must land on the materializing
-    // reference digest, for more than one campaign seed. Chaos seeds
-    // permute which worker claims which shard and when (see
-    // `eyeorg_stats::set_chaos_seed`), so a pass here means the
-    // demand-driven fast path's outputs are pinned by index, not by
-    // scheduling luck.
+fn flat_digest_identical_across_thread_counts() {
+    let stimuli = tl_stimuli();
+    let run = |threads| {
+        flat_timeline_campaign(
+            stimuli,
+            &CrowdFlower,
+            300,
+            &cfg(threads),
+            &paper_pipeline(),
+            Seed(990),
+            &stream_cfg(32),
+        )
+        .fingerprint()
+    };
+    let reference = run(1);
+    for threads in [2usize, 4, 0] {
+        assert_eq!(run(threads), reference, "threads={threads}");
+    }
+}
+
+#[test]
+fn digests_identical_across_shards_threads_and_chaos_seeds() {
+    // The identity matrix: every shard size × worker count × chaos
+    // schedule must land on the materializing reference digest, for
+    // more than one campaign seed. Chaos seeds permute which worker
+    // claims which shard and when (see `eyeorg_stats::set_chaos_seed`),
+    // so a pass here means the demand-driven fast path's outputs are
+    // pinned by index, not by scheduling luck.
     let stimuli = tl_stimuli();
     let n = 300usize;
     for campaign_seed in [Seed(970), Seed(31_337)] {
@@ -210,16 +140,6 @@ fn digests_identical_across_backends_shards_threads_and_chaos_seeds() {
             for threads in [1usize, 2, 0] {
                 for chaos in [0u64, 7, 23] {
                     set_chaos_seed(chaos);
-                    let streamed = stream_timeline_campaign(
-                        stimuli,
-                        &CrowdFlower,
-                        n,
-                        &cfg(threads),
-                        &paper_pipeline(),
-                        campaign_seed,
-                        &stream_cfg(shard),
-                    )
-                    .fingerprint();
                     let flat = flat_timeline_campaign(
                         stimuli,
                         &CrowdFlower,
@@ -232,14 +152,8 @@ fn digests_identical_across_backends_shards_threads_and_chaos_seeds() {
                     .fingerprint();
                     set_chaos_seed(0);
                     assert_eq!(
-                        streamed, reference,
-                        "stream seed={campaign_seed:?} shard={shard} threads={threads} \
-                         chaos={chaos}"
-                    );
-                    assert_eq!(
                         flat, reference,
-                        "flat seed={campaign_seed:?} shard={shard} threads={threads} \
-                         chaos={chaos}"
+                        "seed={campaign_seed:?} shard={shard} threads={threads} chaos={chaos}"
                     );
                 }
             }
@@ -248,7 +162,7 @@ fn digests_identical_across_backends_shards_threads_and_chaos_seeds() {
 }
 
 #[test]
-fn streaming_digest_band_means_match_analysis_at_small_n() {
+fn flat_digest_band_means_match_analysis_at_small_n() {
     // Below the sketch cap the digest's banded means must be *exactly*
     // the figure pipeline's numbers (`analysis::mean_uplt`) — the
     // "exact small-n fallback keeps figure outputs unchanged" claim.
@@ -256,7 +170,7 @@ fn streaming_digest_band_means_match_analysis_at_small_n() {
     let n = 200;
     let campaign = run_timeline_campaign(stimuli.clone(), &CrowdFlower, n, &cfg(0), Seed(995));
     let report = filter_timeline(&campaign, &paper_pipeline());
-    let digest = stream_timeline_campaign(
+    let digest = flat_timeline_campaign(
         stimuli,
         &CrowdFlower,
         n,

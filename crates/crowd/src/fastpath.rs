@@ -27,7 +27,6 @@
 use eyeorg_net::{SimDuration, SimTime};
 use eyeorg_stats::rng::Rng;
 use eyeorg_stats::Seed;
-use eyeorg_video::{FrameTimeline, Video};
 
 use crate::abjudge::{judge_pair_with_rng, AbAnswer};
 use crate::behavior::{
@@ -35,8 +34,8 @@ use crate::behavior::{
 };
 use crate::participant::Persona;
 use crate::perception::{
-    timeline_control_with_rng, timeline_response_flat_with_rng, timeline_response_shared_with_rng,
-    true_ready_time, TimelineResponse, TimelineStimulusProfile,
+    timeline_control_with_rng, timeline_response_flat_with_rng, TimelineResponse,
+    TimelineStimulusProfile,
 };
 
 /// A participant's per-activity parent seeds, derived once instead of
@@ -115,25 +114,6 @@ pub fn timeline_response_seeded(
     timeline_response_flat_with_rng(profile, rewinds, participant, leaf(seeds.perception, label))
 }
 
-/// [`crate::perception::timeline_response_shared`] with the perception
-/// parent hoisted — the streaming engine's entry (lazy ready-moment
-/// extraction preserved). Bit-identical for matching inputs.
-#[inline]
-pub fn timeline_response_shared_seeded(
-    video: &Video,
-    frames: &FrameTimeline,
-    participant: &Persona,
-    seeds: &ModelSeeds,
-    label: &str,
-) -> TimelineResponse {
-    timeline_response_shared_with_rng(
-        video,
-        &mut |i| frames.rewind_at(i),
-        participant,
-        leaf(seeds.perception, label),
-    )
-}
-
 /// [`crate::perception::timeline_control_passes_flat`] with the
 /// perception parent hoisted. Takes the prebuilt `"ctrl-"`-prefixed
 /// label. Bit-identical for matching inputs.
@@ -181,22 +161,6 @@ pub fn judge_pair_seeded(
     judge_pair_with_rng(left_ready, right_ready, participant, leaf(seeds.abjudge, label))
 }
 
-/// [`crate::abjudge::ab_response`] with the judgment parent hoisted
-/// (ready moments still extracted per side, as the streaming engine
-/// does). Bit-identical for matching inputs.
-#[inline]
-pub fn ab_response_seeded(
-    left: &Video,
-    right: &Video,
-    participant: &Persona,
-    seeds: &ModelSeeds,
-    label: &str,
-) -> AbAnswer {
-    let l = true_ready_time(left, participant.readiness);
-    let r = true_ready_time(right, participant.readiness);
-    judge_pair_seeded(l, r, participant, seeds, label)
-}
-
 /// [`crate::abjudge::ab_control_flat`] with the judgment parent hoisted.
 /// Bit-identical for matching inputs.
 #[inline]
@@ -217,10 +181,9 @@ mod tests {
     use crate::abjudge::{ab_control_flat, judge_pair_flat};
     use crate::behavior::{total_time_on_site_persona, video_session_profiled};
     use crate::participant::PopulationProfile;
-    use crate::perception::{
-        timeline_control_passes_flat, timeline_response_flat, timeline_response_shared,
-    };
+    use crate::perception::{timeline_control_passes_flat, timeline_response_flat, true_ready_time};
     use eyeorg_browser::{load_page, BrowserConfig};
+    use eyeorg_video::{FrameTimeline, Video};
     use eyeorg_workload::{generate_site, SiteClass};
 
     fn video() -> Video {
@@ -317,31 +280,6 @@ mod tests {
                     "total time index {i}"
                 );
             }
-        }
-    }
-
-    /// The shared-timeline seeded path against the original (lazy ready
-    /// lookup included).
-    #[test]
-    fn shared_response_seeded_matches_original() {
-        let v = video();
-        let mut tl = FrameTimeline::of(&v);
-        tl.precompute_rewinds();
-        let pop = PopulationProfile::paid().generate(Seed(92), 120);
-        for p in &pop {
-            let seeds = ModelSeeds::of(p.seed);
-            assert_eq!(
-                timeline_response_shared_seeded(&v, &tl, &p.persona(), &seeds, "tl-2"),
-                timeline_response_shared(&v, &tl, p, "tl-2"),
-                "class {:?}",
-                p.class
-            );
-            assert_eq!(
-                ab_response_seeded(&v, &v, &p.persona(), &seeds, "ab-1"),
-                crate::abjudge::ab_response(&v, &v, p, "ab-1"),
-                "ab class {:?}",
-                p.class
-            );
         }
     }
 }

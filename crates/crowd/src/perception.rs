@@ -232,23 +232,6 @@ fn timeline_response_with(
     participant: &Participant,
     video_label: &str,
 ) -> TimelineResponse {
-    timeline_response_shared_with_rng(
-        video,
-        rewind,
-        &participant.persona(),
-        response_rng(participant.seed, video_label),
-    )
-}
-
-/// The shared-timeline path with the leaf RNG supplied by the caller —
-/// the streaming engine's fast-path entry (it hoists the per-participant
-/// `"perception"` parent derivation out of its stimulus loop).
-pub(crate) fn timeline_response_shared_with_rng(
-    video: &Video,
-    rewind: &mut dyn FnMut(usize) -> usize,
-    participant: &Persona,
-    rng: Rng,
-) -> TimelineResponse {
     let clock = FrameClock::of(video);
     // Ready moment and first-visible floor are looked up lazily: the
     // clicker/bot branch never consults them, and eagerly extracting all
@@ -257,8 +240,8 @@ pub(crate) fn timeline_response_shared_with_rng(
         &clock,
         &mut |criterion| (true_ready_time(video, criterion), first_visible_us(video)),
         rewind,
-        participant,
-        rng,
+        &participant.persona(),
+        response_rng(participant.seed, video_label),
     )
 }
 

@@ -115,9 +115,8 @@ fn streaming_accumulator_modules_are_d1_covered() {
     for path in [
         "crates/stats/src/stream.rs",
         "crates/core/src/digest.rs",
-        "crates/core/src/stream.rs",
-        // The flat data plane fills the same digest accumulators from
-        // its column passes, and the bitplane popcounts feed frame
+        // The sharded engine fills the digest accumulators from its
+        // column passes, and the bitplane popcounts feed frame
         // comparisons that digests are built on — same exposure.
         "crates/core/src/flat.rs",
         // The adaptive driver merges shard folds at epoch barriers and
@@ -127,8 +126,8 @@ fn streaming_accumulator_modules_are_d1_covered() {
         "crates/video/src/bitplane.rs",
         // The behavioural-model fast path (PR 10) derives every session,
         // response and control draw the engines fingerprint; an
-        // order-seeded container there would poison all three engines
-        // at once.
+        // order-seeded container there would poison every engine at
+        // once.
         "crates/crowd/src/fastpath.rs",
     ] {
         let meta = FileMeta::classify(path);

@@ -106,7 +106,7 @@ pub static CORE_RETAINED_PER_SITE: LabeledCounter =
 // and only when an adaptive rule (`epsilon > 0` or `max_n > 0`) is
 // actually in force — an `epsilon = 0` adaptive run leaves all three at
 // zero, which keeps its counter fingerprint byte-identical to the
-// plain streaming engine's (zero-valued counters are still reported).
+// plain sharded engine's (zero-valued counters are still reported).
 
 /// Epoch barriers evaluated by the adaptive driver.
 pub static ADAPTIVE_EPOCHS: Counter = Counter::new("adaptive.epochs");

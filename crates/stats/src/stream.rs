@@ -1,8 +1,8 @@
 //! Streaming, mergeable accumulators for the sharded campaign engine.
 //!
 //! The materializing campaign pipeline retains every showing before
-//! analysis, so memory grows with the crowd. The streaming engine
-//! (`eyeorg-core`'s `stream` module) instead folds each participant
+//! analysis, so memory grows with the crowd. The sharded engine
+//! (`eyeorg-core`'s `flat` module) instead folds each participant
 //! shard into the accumulators here and merges shards; for that to keep
 //! the workspace's determinism contract — byte-identical results at any
 //! thread count *and any shard size* — every accumulator's final state
