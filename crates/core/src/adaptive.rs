@@ -61,10 +61,11 @@
 use eyeorg_crowd::RecruitmentService;
 use eyeorg_stats::{resolve_threads, Seed};
 
-use crate::digest::{DigestParams, StimulusDigest, TimelineDigest};
+use crate::digest::{DigestParams, MergeError, StimulusDigest, TimelineDigest};
 use crate::experiment::{AdaptiveConfig, ExperimentConfig, TimelineStimulus};
 use crate::filtering::ParticipantFilter;
-use crate::flat::{flat_tl_epoch, merge_tl_shards, FlatTlCtx, StreamConfig, TlShard};
+use crate::flat::{epoch, StreamConfig};
+use crate::kind::{agreed, finish, CampaignKind, Ctx, Shard, Timeline};
 
 /// Critical value for the stopping rule's confidence intervals (~95%
 /// two-sided normal). A fixed constant, not a knob: epsilon is the
@@ -197,23 +198,27 @@ pub fn adaptive_timeline_campaign(
     let _t = eyeorg_obs::phase_timer("core.adaptive_timeline");
     let threads = resolve_threads(cfg.threads);
     let shard = sc.shard_size.max(1);
-    let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
-    drive(stimuli, service, budget, sc, ac, |lo, hi, base, live| {
-        flat_tl_epoch(&ctx, lo, hi, threads, shard, base, live)
-    })
+    let ctx = Ctx::<Timeline>::new(stimuli, service, cfg, filters, seed, sc.params, threads);
+    let run_epoch = |lo, hi, base, live: &[bool]| epoch(&ctx, lo, hi, threads, shard, base, live);
+    let end = drive_resumable(stimuli, service, budget, sc, ac, None, &mut |_| true, run_epoch);
+    match agreed(end) {
+        DriveEnd::Complete(outcome) => *outcome,
+        DriveEnd::Interrupted(_) => unreachable!("an always-continue barrier never interrupts"),
+    }
 }
 
 /// The full mutable state of the epoch loop between two barriers — a
 /// pure function of (seed, config, processed index range), which is
 /// what makes it checkpointable: `crate::checkpoint` serializes
 /// exactly this (plus the obs counter totals) and
-/// [`drive_resumable`] picks the loop back up from it.
+/// [`drive_resumable`] picks the loop back up from it. The A/B
+/// checkpoint driver runs its (mask-free) loop on the same state.
 #[derive(Debug, Clone)]
-pub(crate) struct DriveState {
+pub(crate) struct DriveState<K: CampaignKind> {
     /// Per-stimulus recruitment mask.
     pub(crate) live: Vec<bool>,
     /// Cumulative fold over every processed epoch.
-    pub(crate) acc: TlShard,
+    pub(crate) acc: Shard<K>,
     /// Gate admissions over `[0, processed)`.
     pub(crate) admitted: u64,
     /// Participant indices processed so far.
@@ -226,12 +231,12 @@ pub(crate) struct DriveState {
     pub(crate) stopped_at: Vec<Option<u64>>,
 }
 
-impl DriveState {
+impl<K: CampaignKind> DriveState<K> {
     /// The loop's starting state for `stimuli`.
-    pub(crate) fn fresh(stimuli: &[TimelineStimulus], params: &DigestParams) -> DriveState {
+    pub(crate) fn fresh(stimuli: &[K::Stimulus], params: &DigestParams) -> DriveState<K> {
         DriveState {
             live: vec![true; stimuli.len()],
-            acc: TlShard::new(stimuli, params),
+            acc: Shard::new(stimuli, params),
             admitted: 0,
             processed: 0,
             epochs: 0,
@@ -247,33 +252,16 @@ pub(crate) enum DriveEnd {
     Complete(Box<AdaptiveOutcome>),
     /// The barrier callback requested an interruption; the state is
     /// exactly what a later [`drive_resumable`] call needs to continue.
-    Interrupted(Box<DriveState>),
+    Interrupted(Box<DriveState<Timeline>>),
 }
 
-/// The epoch loop: recruit an epoch, merge its folds
-/// in shard order, evaluate the stopping rule at the barrier, repeat.
-fn drive<F>(
-    stimuli: &[TimelineStimulus],
-    service: &dyn RecruitmentService,
-    budget: usize,
-    sc: &StreamConfig,
-    ac: &AdaptiveConfig,
-    run_epoch: F,
-) -> AdaptiveOutcome
-where
-    F: FnMut(usize, usize, u64, &[bool]) -> (Vec<TlShard>, u64),
-{
-    match drive_resumable(stimuli, service, budget, sc, ac, None, &mut |_| true, run_epoch) {
-        DriveEnd::Complete(outcome) => *outcome,
-        DriveEnd::Interrupted(_) => unreachable!("an always-continue barrier never interrupts"),
-    }
-}
-
-/// [`drive`] with two extra affordances for the checkpoint layer:
-/// start from a prior [`DriveState`] instead of scratch, and consult
-/// `barrier` after every epoch's stopping evaluation — a `false`
-/// return stops the loop and hands the state back as
-/// [`DriveEnd::Interrupted`].
+/// The epoch loop: recruit an epoch, merge its folds in shard order,
+/// evaluate the stopping rule at the barrier, repeat. Two affordances
+/// serve the checkpoint layer: start from a prior [`DriveState`]
+/// instead of scratch, and consult `barrier` after every epoch's
+/// stopping evaluation — a `false` return stops the loop and hands the
+/// state back as [`DriveEnd::Interrupted`]. A merge error can only come
+/// from a resumed state (see [`crate::kind::Shard::merge`]).
 ///
 /// The interrupted→resumed composition is byte-identical to the
 /// uninterrupted run because the loop's entire mutable state lives in
@@ -290,12 +278,12 @@ pub(crate) fn drive_resumable<F>(
     budget: usize,
     sc: &StreamConfig,
     ac: &AdaptiveConfig,
-    resume: Option<DriveState>,
-    barrier: &mut dyn FnMut(&DriveState) -> bool,
+    resume: Option<DriveState<Timeline>>,
+    barrier: &mut dyn FnMut(&DriveState<Timeline>) -> bool,
     mut run_epoch: F,
-) -> DriveEnd
+) -> Result<DriveEnd, MergeError>
 where
-    F: FnMut(usize, usize, u64, &[bool]) -> (Vec<TlShard>, u64),
+    F: FnMut(usize, usize, u64, &[bool]) -> (Vec<Shard<Timeline>>, u64),
 {
     let epoch = ac.epoch.max(1);
     let active = ac.is_active();
@@ -307,7 +295,7 @@ where
         let hi = (lo + epoch).min(budget);
         let (folds, range_admitted) = run_epoch(lo, hi, st.admitted, &st.live);
         for fold in &folds {
-            st.acc.merge_from(fold);
+            st.acc.merge(fold)?;
         }
         st.admitted += range_admitted;
         st.processed = hi;
@@ -334,17 +322,17 @@ where
             }
         }
         if !barrier(&st) {
-            return DriveEnd::Interrupted(Box::new(st));
+            return Ok(DriveEnd::Interrupted(Box::new(st)));
         }
     }
     // The never-recruited budget tail is also a saving (mid-run pruning
     // was already counted shard by shard). Zero when inactive.
     eyeorg_obs::metrics::ADAPTIVE_PARTICIPANTS_SAVED.add((budget - st.processed) as u64);
 
-    let pruned = st.acc.pruned;
-    let digest =
-        merge_tl_shards(stimuli, service, st.processed, &sc.params, std::slice::from_ref(&st.acc));
-    DriveEnd::Complete(Box::new(AdaptiveOutcome {
+    let pruned = st.acc.totals.pruned;
+    let acc = std::slice::from_ref(&st.acc);
+    let digest = finish(stimuli, service, st.processed as u64, &sc.params, acc)?;
+    Ok(DriveEnd::Complete(Box::new(AdaptiveOutcome {
         digest,
         budget: budget as u64,
         recruited: st.processed as u64,
@@ -352,5 +340,5 @@ where
         epochs: st.epochs,
         decisions: st.decisions,
         stopped_at: st.stopped_at,
-    }))
+    })))
 }

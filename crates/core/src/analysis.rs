@@ -12,6 +12,7 @@
 use eyeorg_stats::{percentile_band, Summary};
 
 use crate::campaign::{AbCampaign, AbVerdict, ParticipantIndex, TimelineCampaign};
+use crate::digest::MergeError;
 use crate::filtering::FilterReport;
 
 /// Per-video UPLT samples (seconds) from kept participants, optionally
@@ -121,11 +122,17 @@ impl AbTally {
 
     /// Fold another shard's tally for the same stimulus in. Integer
     /// adds are exact and associative, so the sharded engine's merge
-    /// reproduces the materializing tally byte for byte.
-    pub fn merge(&mut self, other: &AbTally) {
-        self.a += other.a;
-        self.b += other.b;
-        self.nd += other.nd;
+    /// reproduces the materializing tally byte for byte. Fails (with
+    /// `self` unchanged) when a vote count would overflow.
+    pub fn merge(&mut self, other: &AbTally) -> Result<(), MergeError> {
+        let votes =
+            |a: u32, b: u32, counter| a.checked_add(b).ok_or(MergeError::Overflow { counter });
+        *self = AbTally {
+            a: votes(self.a, other.a, "votes.a")?,
+            b: votes(self.b, other.b, "votes.b")?,
+            nd: votes(self.nd, other.nd, "votes.nd")?,
+        };
+        Ok(())
     }
 
     /// Agreement: the fraction of votes matching the most popular answer

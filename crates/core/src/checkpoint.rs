@@ -1,18 +1,21 @@
-//! Checkpoint/resume and multi-process merge for the sharded engines.
+//! Checkpoint/resume and multi-process merge for the sharded engine.
 //!
 //! A checkpoint is the full accumulator state of a campaign over a
 //! participant index range `[range_lo, range_hi)` — every per-stimulus
 //! digest, the behaviour moments, the filter/control tallies, the shard
-//! totals, the adaptive driver's mask/decision state (driver
+//! totals, the adaptive driver's mask/decision state (timeline driver
 //! checkpoints only), and the obs counter totals at the barrier —
 //! serialized as versioned JSONL through the vendored serde shim, so
 //! the format is hermetic and byte-stable. The contract is strict
 //! **byte-identity**: `load(save(state))` reproduces the same digest
 //! fingerprint and counter fingerprint as the uninterrupted run, at any
-//! shard size and thread count (pinned by `checkpoint_roundtrip` tests
-//! and the `merge_digests` verify gates).
+//! shard size and thread count (pinned by `checkpoint_roundtrip` tests,
+//! including hashes of the v1 bytes, and the `merge_digests` verify
+//! gates).
 //!
-//! Three workflows build on that:
+//! [`Checkpoint`] is written once over the test-kind trait
+//! (`crate::kind::CampaignKind`); [`TimelineCheckpoint`] and
+//! [`AbCheckpoint`] are its two instances. Three workflows build on it:
 //!
 //! * **Resume** — [`checkpointed_timeline_campaign`] /
 //!   [`checkpointed_ab_campaign`] consult an observer at every shard
@@ -21,11 +24,12 @@
 //!   remaining index range, byte-identical to never stopping.
 //! * **Multi-process merge** — [`timeline_worker_checkpoint`] /
 //!   [`ab_worker_checkpoint`] fold a disjoint index range in an
-//!   independent process; [`TimelineCheckpoint::merge`] stitches the
-//!   written files back together (range-adjacency and admitted-index
-//!   continuity checked), and `finalize` yields the single-run digest.
-//! * **Live mode** — the driver emits an incremental JSONL line per
-//!   barrier ([`CheckpointEvent::Live`]) with per-stimulus UPLT
+//!   independent process; [`Checkpoint::merge`] stitches the written
+//!   files back together (range-adjacency and admitted-index
+//!   continuity checked), and [`Checkpoint::finalize`] yields the
+//!   single-run digest.
+//! * **Live mode** — the timeline driver emits an incremental JSONL
+//!   line per barrier ([`CheckpointEvent::Live`]) with per-stimulus UPLT
 //!   percentile/CI read-outs; the final line equals the end-of-run
 //!   digest's read-outs ([`live_line_from_digest`]).
 //!
@@ -33,10 +37,13 @@
 //!
 //! One JSON object per line. Timeline files are `S + 6` lines (header,
 //! totals, behaviour, `S` stimulus lines, drive, counters, end); A/B
-//! files are `S + 5` (no drive line). Floats are carried as
+//! files are `S + 5` (no drive line). Every body line is the serde form
+//! of the state it carries — the kind's totals type, `BehaviorDigest`,
+//! the kind's per-stimulus accumulator, [`CounterState`] — and the
+//! accumulators serialize their `eyeorg_stats` state types: floats as
 //! `f64::to_bits()` integers (canonical — `±inf` sentinels and `-0.0`
-//! round-trip exactly), the `Moments` fixed-point sums as decimal
-//! `i128` strings (the shim has no native i128). The header pins the
+//! round-trip exactly), the `Moments` fixed-point sums through the
+//! shim's `i128` lane as decimal strings. The header pins the
 //! [`DigestParams`] the accumulators were built with; loading validates
 //! every per-stimulus state against it. See DESIGN.md §3i.
 //!
@@ -44,13 +51,13 @@
 //!
 //! Checkpoint bytes are **untrusted input**: every malformed,
 //! truncated, or inconsistent file surfaces as a typed
-//! [`CheckpointError`] — never a panic. The accumulator rebuilds go
+//! [`CheckpointError`] — never a panic. Accumulators decode only
 //! through the validating `from_state` constructors of `eyeorg_stats`,
-//! and cross-checkpoint merges go through the fallible
-//! [`MergeError`]-returning digest merges. Resume additionally
-//! **probe-merges** the loaded state against a freshly constructed
-//! accumulator before the epoch loop starts, so the engine-internal
-//! infallible shard merges stay unreachable from disk.
+//! and untrusted state is combined only through the one fallible shard
+//! merge, which rejects identity/config mismatches and counter
+//! overflow alike with a [`MergeError`]: `merge` and `finalize` run it
+//! directly, and resume merges the loaded state into a freshly built
+//! shard, then continues the epoch loop on that same fallible merge.
 //!
 //! ## Obs counter contract
 //!
@@ -67,26 +74,18 @@ use std::collections::BTreeMap;
 
 use eyeorg_crowd::RecruitmentService;
 use eyeorg_obs::HistogramSnapshot;
-use eyeorg_stats::{
-    resolve_threads, Histogram, HistogramState, Moments, MomentsState, QuantileSketch,
-    QuantileSketchState, Seed,
-};
+use eyeorg_stats::{resolve_threads, Seed};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::adaptive::{
     drive_resumable, AdaptiveBackend, AdaptiveOutcome, DriveEnd, DriveState, StopCause,
     StopDecision, ADAPTIVE_Z,
 };
-use crate::digest::{
-    AbDigest, AbStimulusDigest, BehaviorDigest, ControlTally, DigestParams, MergeError,
-    StimulusDigest, TimelineDigest,
-};
+use crate::digest::{AbDigest, DigestParams, MergeError, StimulusDigest, TimelineDigest};
 use crate::experiment::{AbStimulus, AdaptiveConfig, ExperimentConfig, TimelineStimulus};
-use crate::filtering::{FilterTally, ParticipantFilter};
-use crate::flat::{
-    admitted_bases_range, flat_ab_epoch, flat_tl_epoch, merge_ab_shards, AbShard, FlatAbCtx,
-    FlatTlCtx, StreamConfig, TlShard,
-};
+use crate::filtering::ParticipantFilter;
+use crate::flat::{admitted_bases_range, epoch, StreamConfig};
+use crate::kind::{finish, Ab, CampaignKind, Ctx, Shard, Timeline};
 
 /// Checkpoint format version this build writes and accepts.
 pub const CHECKPOINT_VERSION: u64 = 1;
@@ -102,7 +101,8 @@ const FORMAT_TAG: &str = "eyeorg-checkpoint";
 /// loader returns these instead of panicking.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckpointError {
-    /// A line was not the JSON object the format expects.
+    /// A line was not the JSON object the format expects — including
+    /// an accumulator state its validating `from_state` rejected.
     Parse {
         /// 1-based line number.
         line: usize,
@@ -130,14 +130,15 @@ pub enum CheckpointError {
         /// Lines actually present.
         found: usize,
     },
-    /// An accumulator state failed its `from_state` validation.
+    /// An accumulator disagrees with the header's digest params.
     State {
         /// 1-based line number.
         line: usize,
         /// The validator's message.
         detail: String,
     },
-    /// Two accumulators refused to merge (identity/config mismatch).
+    /// Two accumulators refused to merge (identity/config mismatch, or
+    /// a counter overflow).
     Merge(MergeError),
     /// The checkpoint was built under different [`DigestParams`] than
     /// the run (or the sibling checkpoint) it is combined with.
@@ -222,7 +223,7 @@ impl From<MergeError> for CheckpointError {
 }
 
 // ---------------------------------------------------------------------
-// Line structs (the on-disk schema, version 1)
+// The line shapes no state type carries (the on-disk schema, version 1)
 // ---------------------------------------------------------------------
 
 #[derive(Serialize, Deserialize)]
@@ -240,102 +241,8 @@ struct HeaderLine {
     lines: usize,
 }
 
-/// `Moments` raw state; `qsum`/`qsumsq` as decimal i128 strings,
-/// `min`/`max` as `to_bits()`.
-#[derive(Serialize, Deserialize)]
-struct MomentsLine {
-    n: u64,
-    qsum: String,
-    qsumsq: String,
-    min: u64,
-    max: u64,
-    rejected: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct HistLine {
-    lo: u64,
-    hi: u64,
-    counts: Vec<u32>,
-    outside: u32,
-}
-
-#[derive(Serialize, Deserialize)]
-struct SketchLine {
-    lo: u64,
-    hi: u64,
-    bins: usize,
-    cap: usize,
-    exact: Vec<u64>,
-    counts: Vec<u64>,
-    spilled: bool,
-    min: u64,
-    max: u64,
-    n: u64,
-    rejected: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct FiltersLine {
-    engagement: u64,
-    soft: u64,
-    control: u64,
-    kept: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct ControlsLine {
-    passed: u64,
-    failed: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct TotalsLine {
-    admitted: u64,
-    rejected: u64,
-    collected: u64,
-    skipped: u64,
-    pruned: u64,
-    filters: FiltersLine,
-    controls: ControlsLine,
-}
-
-#[derive(Serialize, Deserialize)]
-struct AbTotalsLine {
-    admitted: u64,
-    rejected: u64,
-    cast: u64,
-    skipped: u64,
-    filters: FiltersLine,
-    controls: ControlsLine,
-}
-
-#[derive(Serialize, Deserialize)]
-struct BehaviorLine {
-    minutes_on_site: MomentsLine,
-    actions: MomentsLine,
-    out_of_focus_secs: MomentsLine,
-    max_video_load_secs: MomentsLine,
-}
-
-#[derive(Serialize, Deserialize)]
-struct StimulusLine {
-    name: String,
-    uplt: MomentsLine,
-    hist: HistLine,
-    sketch: SketchLine,
-}
-
-#[derive(Serialize, Deserialize)]
-struct AbStimulusLine {
-    name: String,
-    a: u32,
-    b: u32,
-    nd: u32,
-    shows: u64,
-    a_left_shows: u64,
-}
-
+/// A [`StopDecision`]: the half-width as `to_bits()`, the cause as a
+/// tag.
 #[derive(Serialize, Deserialize)]
 struct DecisionLine {
     epoch: u64,
@@ -359,32 +266,15 @@ struct DriveLine {
     adaptive: Option<AdaptiveLine>,
 }
 
-/// Mirror of `eyeorg_obs::HistogramSnapshot`, re-declared because the
-/// obs struct is (deliberately) serialize-only: the checkpoint layer
-/// owns the deserialization and its validation.
-#[derive(Serialize, Deserialize)]
-struct HistSnapLine {
-    count: u64,
-    sum: u64,
-    buckets: Vec<(usize, u64)>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct CountersLine {
-    counters: BTreeMap<String, u64>,
-    labeled: BTreeMap<String, BTreeMap<String, u64>>,
-    histograms: BTreeMap<String, HistSnapLine>,
-}
-
 #[derive(Serialize, Deserialize)]
 struct EndLine {
     end: String,
 }
 
-/// Compact one-line JSON of a line struct. The vendored writer is
-/// total (non-finite floats never occur here: every float is carried
-/// as `to_bits()` integers), so the `Result` is vacuous.
-fn json_line<T: Serialize>(v: &T) -> String {
+/// Compact one-line JSON. The vendored writer is total (non-finite
+/// floats never occur here: every float is carried as `to_bits()`
+/// integers), so the `Result` is vacuous.
+fn json_line(v: &dyn Serialize) -> String {
     serde_json::to_string(v).unwrap_or_default()
 }
 
@@ -394,130 +284,15 @@ fn parse_line<T: Deserialize>(s: &str, line: usize) -> Result<T, CheckpointError
 }
 
 // ---------------------------------------------------------------------
-// Accumulator <-> line conversions
-// ---------------------------------------------------------------------
-
-fn moments_line(m: &Moments) -> MomentsLine {
-    let s = m.state();
-    MomentsLine {
-        n: s.n,
-        qsum: s.qsum.to_string(),
-        qsumsq: s.qsumsq.to_string(),
-        min: s.min_bits,
-        max: s.max_bits,
-        rejected: s.rejected,
-    }
-}
-
-fn moments_of(l: &MomentsLine, line: usize) -> Result<Moments, CheckpointError> {
-    let parse_i128 = |s: &str, what: &str| -> Result<i128, CheckpointError> {
-        s.parse::<i128>().map_err(|_| CheckpointError::State {
-            line,
-            detail: format!("{what} is not a decimal i128: {s:?}"),
-        })
-    };
-    Ok(Moments::from_state(&MomentsState {
-        n: l.n,
-        qsum: parse_i128(&l.qsum, "qsum")?,
-        qsumsq: parse_i128(&l.qsumsq, "qsumsq")?,
-        min_bits: l.min,
-        max_bits: l.max,
-        rejected: l.rejected,
-    }))
-}
-
-fn hist_line(h: &Histogram) -> HistLine {
-    let s = h.state();
-    HistLine { lo: s.lo_bits, hi: s.hi_bits, counts: s.counts, outside: s.outside }
-}
-
-fn hist_of(l: &HistLine, line: usize) -> Result<Histogram, CheckpointError> {
-    Histogram::from_state(&HistogramState {
-        lo_bits: l.lo,
-        hi_bits: l.hi,
-        counts: l.counts.clone(),
-        outside: l.outside,
-    })
-    .map_err(|e| CheckpointError::State { line, detail: e.0.to_string() })
-}
-
-fn sketch_line(s: &QuantileSketch) -> SketchLine {
-    let st = s.state();
-    SketchLine {
-        lo: st.lo_bits,
-        hi: st.hi_bits,
-        bins: st.bins,
-        cap: st.exact_cap,
-        exact: st.exact_bits,
-        counts: st.counts,
-        spilled: st.spilled,
-        min: st.min_bits,
-        max: st.max_bits,
-        n: st.n,
-        rejected: st.rejected,
-    }
-}
-
-fn sketch_of(l: &SketchLine, line: usize) -> Result<QuantileSketch, CheckpointError> {
-    QuantileSketch::from_state(&QuantileSketchState {
-        lo_bits: l.lo,
-        hi_bits: l.hi,
-        bins: l.bins,
-        exact_cap: l.cap,
-        exact_bits: l.exact.clone(),
-        counts: l.counts.clone(),
-        spilled: l.spilled,
-        min_bits: l.min,
-        max_bits: l.max,
-        n: l.n,
-        rejected: l.rejected,
-    })
-    .map_err(|e| CheckpointError::State { line, detail: e.0.to_string() })
-}
-
-fn behavior_line(b: &BehaviorDigest) -> BehaviorLine {
-    BehaviorLine {
-        minutes_on_site: moments_line(&b.minutes_on_site),
-        actions: moments_line(&b.actions),
-        out_of_focus_secs: moments_line(&b.out_of_focus_secs),
-        max_video_load_secs: moments_line(&b.max_video_load_secs),
-    }
-}
-
-fn behavior_of(l: &BehaviorLine, line: usize) -> Result<BehaviorDigest, CheckpointError> {
-    Ok(BehaviorDigest {
-        minutes_on_site: moments_of(&l.minutes_on_site, line)?,
-        actions: moments_of(&l.actions, line)?,
-        out_of_focus_secs: moments_of(&l.out_of_focus_secs, line)?,
-        max_video_load_secs: moments_of(&l.max_video_load_secs, line)?,
-    })
-}
-
-fn filters_line(t: &FilterTally) -> FiltersLine {
-    FiltersLine { engagement: t.engagement, soft: t.soft, control: t.control, kept: t.kept }
-}
-
-fn filters_of(l: &FiltersLine) -> FilterTally {
-    FilterTally { engagement: l.engagement, soft: l.soft, control: l.control, kept: l.kept }
-}
-
-fn controls_line(t: &ControlTally) -> ControlsLine {
-    ControlsLine { passed: t.passed, failed: t.failed }
-}
-
-fn controls_of(l: &ControlsLine) -> ControlTally {
-    ControlTally { passed: l.passed, failed: l.failed }
-}
-
-// ---------------------------------------------------------------------
 // Counter state
 // ---------------------------------------------------------------------
 
 /// The deterministic sections of an obs snapshot (counters, labeled
-/// counters, histograms) as plain maps — what a checkpoint records and
-/// what `eyeorg_obs::restore` re-applies on resume. See the module
-/// docs for the reset/restore contract.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// counters, histograms) as plain maps — what a checkpoint records (its
+/// serde form is the counters line) and what `eyeorg_obs::restore`
+/// re-applies on resume. See the module docs for the reset/restore
+/// contract.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CounterState {
     /// Counter totals by name.
     pub counters: BTreeMap<String, u64>,
@@ -573,69 +348,20 @@ impl CounterState {
             }
         }
     }
-
-    fn to_line(&self) -> CountersLine {
-        CountersLine {
-            counters: self.counters.clone(),
-            labeled: self.labeled.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        HistSnapLine { count: h.count, sum: h.sum, buckets: h.buckets.clone() },
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    fn of_line(l: CountersLine) -> CounterState {
-        CounterState {
-            counters: l.counters,
-            labeled: l.labeled,
-            histograms: l
-                .histograms
-                .into_iter()
-                .map(|(k, h)| {
-                    (k, HistogramSnapshot { count: h.count, sum: h.sum, buckets: h.buckets })
-                })
-                .collect(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
-// Timeline checkpoints
+// Checkpoints
 // ---------------------------------------------------------------------
 
-/// The adaptive driver's inter-epoch state as carried by a driver
-/// checkpoint (mask, barrier count, decision log).
+/// The adaptive driver's inter-epoch state as carried by a timeline
+/// driver checkpoint (mask, barrier count, decision log).
 #[derive(Debug, Clone)]
-pub(crate) struct DriveCkpt {
-    pub(crate) live: Vec<bool>,
-    pub(crate) epochs: u64,
-    pub(crate) stopped_at: Vec<Option<u64>>,
-    pub(crate) decisions: Vec<StopDecision>,
-}
-
-/// A timeline campaign's accumulator state over `[range_lo, range_hi)`.
-///
-/// Two flavours share the type: **driver** checkpoints (`range_lo = 0`,
-/// drive state present — what [`checkpointed_timeline_campaign`] emits
-/// and resumes from) and **worker** checkpoints (any range, no drive
-/// state — what [`timeline_worker_checkpoint`] emits and
-/// [`merge`](TimelineCheckpoint::merge) stitches together).
-#[derive(Debug)]
-pub struct TimelineCheckpoint {
-    params: DigestParams,
-    range_lo: u64,
-    range_hi: u64,
-    admitted_before: u64,
-    acc: TlShard,
-    drive: Option<DriveCkpt>,
-    counters: CounterState,
+struct DriveCkpt {
+    live: Vec<bool>,
+    epochs: u64,
+    stopped_at: Vec<Option<u64>>,
+    decisions: Vec<StopDecision>,
 }
 
 fn stop_cause_tag(c: StopCause) -> &'static str {
@@ -656,19 +382,123 @@ fn stop_cause_of(tag: &str, line: usize) -> Result<StopCause, CheckpointError> {
     }
 }
 
-/// Split a document into its non-empty lines and parse+validate the
-/// shared header. Returns (lines, header, expected line count).
-fn split_and_header<'a>(
+impl DriveCkpt {
+    fn to_line(&self) -> AdaptiveLine {
+        AdaptiveLine {
+            live: self.live.clone(),
+            epochs: self.epochs,
+            stopped_at: self.stopped_at.clone(),
+            decisions: self
+                .decisions
+                .iter()
+                .map(|d| DecisionLine {
+                    epoch: d.epoch,
+                    stimulus: d.stimulus,
+                    name: d.name.clone(),
+                    retained: d.retained,
+                    half_width: d.half_width.to_bits(),
+                    cause: stop_cause_tag(d.cause).to_string(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Decode the drive line (1-based `line`) of a file with `stimuli`
+    /// stimuli.
+    fn of_line(a: AdaptiveLine, stimuli: usize, line: usize) -> Result<DriveCkpt, CheckpointError> {
+        if a.live.len() != stimuli || a.stopped_at.len() != stimuli {
+            return Err(CheckpointError::Format {
+                line,
+                detail: format!(
+                    "drive state sized for {} stimuli, header has {stimuli}",
+                    a.live.len().max(a.stopped_at.len())
+                ),
+            });
+        }
+        let mut decisions = Vec::with_capacity(a.decisions.len());
+        for d in a.decisions {
+            if d.stimulus >= stimuli {
+                return Err(CheckpointError::Format {
+                    line,
+                    detail: format!("decision names stimulus {} of {stimuli}", d.stimulus),
+                });
+            }
+            decisions.push(StopDecision {
+                epoch: d.epoch,
+                stimulus: d.stimulus,
+                name: d.name,
+                retained: d.retained,
+                half_width: f64::from_bits(d.half_width),
+                cause: stop_cause_of(&d.cause, line)?,
+            });
+        }
+        Ok(DriveCkpt { live: a.live, epochs: a.epochs, stopped_at: a.stopped_at, decisions })
+    }
+}
+
+/// A campaign's accumulator state over `[range_lo, range_hi)`, for
+/// either test kind ([`TimelineCheckpoint`], [`AbCheckpoint`]).
+///
+/// Timeline checkpoints come in two flavours: **driver** checkpoints
+/// (`range_lo = 0`, drive state present — what
+/// [`checkpointed_timeline_campaign`] emits and resumes from) and
+/// **worker** checkpoints (any range, no drive state — what
+/// [`timeline_worker_checkpoint`] emits and [`merge`](Checkpoint::merge)
+/// stitches together). A/B runs have no adaptive driver, so every A/B
+/// checkpoint is both resumable and mergeable.
+#[derive(Debug)]
+pub struct Checkpoint<K: CampaignKind> {
+    params: DigestParams,
+    range_lo: u64,
+    range_hi: u64,
+    admitted_before: u64,
+    acc: Shard<K>,
+    drive: Option<DriveCkpt>,
+    counters: CounterState,
+}
+
+/// A timeline campaign's checkpoint.
+pub type TimelineCheckpoint = Checkpoint<Timeline>;
+
+/// An A/B campaign's checkpoint.
+pub type AbCheckpoint = Checkpoint<Ab>;
+
+/// A checkpoint document's non-empty lines, parsed front to back.
+struct Doc<'a> {
+    lines: std::vec::IntoIter<&'a str>,
+    /// Lines parsed so far.
+    at: usize,
+    /// Lines in the document.
+    found: usize,
+}
+
+impl Doc<'_> {
+    /// Parse the next line as a `T`; returns it with its 1-based line
+    /// number.
+    fn parse_next<T: Deserialize>(&mut self) -> Result<(T, usize), CheckpointError> {
+        let line = self.at + 1;
+        let Some(text) = self.lines.next() else {
+            return Err(CheckpointError::Truncated { expected: line, found: self.found });
+        };
+        self.at = line;
+        Ok((parse_line(text, line)?, line))
+    }
+}
+
+/// Split a document into its non-empty lines, then parse and validate
+/// the header of a `kind` checkpoint of `stimuli + extra_lines` lines.
+fn open_doc<'a>(
     text: &'a str,
     kind: &str,
     extra_lines: usize,
-) -> Result<(Vec<&'a str>, HeaderLine), CheckpointError> {
+) -> Result<(Doc<'a>, HeaderLine), CheckpointError> {
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     if lines.is_empty() {
         return Err(CheckpointError::Truncated { expected: 1, found: 0 });
     }
-    // lint:allow(D7): the is_empty check above guarantees lines[0] exists
-    let h: HeaderLine = parse_line(lines[0], 1)?;
+    let found = lines.len();
+    let mut doc = Doc { lines: lines.into_iter(), at: 0, found };
+    let (h, _): (HeaderLine, _) = doc.parse_next()?;
     if h.format != FORMAT_TAG {
         return Err(CheckpointError::Format {
             line: 1,
@@ -694,10 +524,10 @@ fn split_and_header<'a>(
             ),
         });
     }
-    if lines.len() < expected {
-        return Err(CheckpointError::Truncated { expected, found: lines.len() });
+    if found < expected {
+        return Err(CheckpointError::Truncated { expected, found });
     }
-    if lines.len() > expected {
+    if found > expected {
         return Err(CheckpointError::Format {
             line: expected + 1,
             detail: "trailing data after the end line".to_string(),
@@ -709,24 +539,17 @@ fn split_and_header<'a>(
             detail: format!("inverted range [{}, {})", h.range_lo, h.range_hi),
         });
     }
-    Ok((lines, h))
+    Ok((doc, h))
 }
 
-fn check_end(line_str: &str, line: usize) -> Result<(), CheckpointError> {
-    let end: EndLine = parse_line(line_str, line)?;
-    if end.end != FORMAT_TAG {
-        return Err(CheckpointError::Format { line, detail: "bad end marker".to_string() });
-    }
-    Ok(())
-}
-
-impl TimelineCheckpoint {
+impl<K: CampaignKind> Checkpoint<K> {
     /// The index range `[lo, hi)` this checkpoint covers.
     pub fn range(&self) -> (u64, u64) {
         (self.range_lo, self.range_hi)
     }
 
-    /// The [`DigestParams`] the accumulators were built under.
+    /// The [`DigestParams`] the accumulators were built under (all zero
+    /// for A/B checkpoints, whose digests carry no histogram or sketch).
     pub fn params(&self) -> DigestParams {
         self.params
     }
@@ -737,10 +560,10 @@ impl TimelineCheckpoint {
         self.admitted_before
     }
 
-    /// Whether this is a driver checkpoint (carries the epoch-loop
-    /// state a resume needs); worker checkpoints can only be merged.
+    /// Whether this checkpoint can seed a resume: timeline worker
+    /// checkpoints lack the epoch-loop state and can only be merged.
     pub fn is_resumable(&self) -> bool {
-        self.drive.is_some()
+        self.drive.is_some() || !K::DRIVE_LINE
     }
 
     /// Re-apply the recorded obs totals (see the module-docs contract).
@@ -750,198 +573,89 @@ impl TimelineCheckpoint {
 
     /// Serialize to the versioned JSONL format (ends with a newline).
     pub fn save(&self) -> String {
-        let n_stim = self.acc.stimuli.len();
+        let stimuli = self.acc.stimuli.len();
         let header = HeaderLine {
             format: FORMAT_TAG.to_string(),
             version: CHECKPOINT_VERSION,
-            kind: "timeline".to_string(),
+            kind: K::TAG.to_string(),
             hist_bins: self.params.hist_bins,
             sketch_bins: self.params.sketch_bins,
             exact_cap: self.params.exact_cap,
             range_lo: self.range_lo,
             range_hi: self.range_hi,
             admitted_before: self.admitted_before,
-            stimuli: n_stim,
-            lines: n_stim + 6,
+            stimuli,
+            lines: stimuli + 5 + usize::from(K::DRIVE_LINE),
         };
         let mut out = String::new();
-        out.push_str(&json_line(&header));
-        out.push('\n');
-        out.push_str(&json_line(&TotalsLine {
-            admitted: self.acc.admitted,
-            rejected: self.acc.rejected,
-            collected: self.acc.collected,
-            skipped: self.acc.skipped,
-            pruned: self.acc.pruned,
-            filters: filters_line(&self.acc.filters),
-            controls: controls_line(&self.acc.controls),
-        }));
-        out.push('\n');
-        out.push_str(&json_line(&behavior_line(&self.acc.behavior)));
-        out.push('\n');
-        for s in &self.acc.stimuli {
-            out.push_str(&json_line(&StimulusLine {
-                name: s.name.clone(),
-                uplt: moments_line(&s.uplt),
-                hist: hist_line(&s.hist),
-                sketch: sketch_line(&s.sketch),
-            }));
+        let mut put = |v: &dyn Serialize| {
+            out.push_str(&json_line(v));
             out.push('\n');
+        };
+        put(&header);
+        put(&self.acc.totals);
+        put(&self.acc.behavior);
+        for s in &self.acc.stimuli {
+            put(s);
         }
-        let adaptive = self.drive.as_ref().map(|d| AdaptiveLine {
-            live: d.live.clone(),
-            epochs: d.epochs,
-            stopped_at: d.stopped_at.clone(),
-            decisions: d
-                .decisions
-                .iter()
-                .map(|dec| DecisionLine {
-                    epoch: dec.epoch,
-                    stimulus: dec.stimulus,
-                    name: dec.name.clone(),
-                    retained: dec.retained,
-                    half_width: dec.half_width.to_bits(),
-                    cause: stop_cause_tag(dec.cause).to_string(),
-                })
-                .collect(),
-        });
-        out.push_str(&json_line(&DriveLine { adaptive }));
-        out.push('\n');
-        out.push_str(&json_line(&self.counters.to_line()));
-        out.push('\n');
-        out.push_str(&json_line(&EndLine { end: FORMAT_TAG.to_string() }));
-        out.push('\n');
+        if K::DRIVE_LINE {
+            put(&DriveLine { adaptive: self.drive.as_ref().map(DriveCkpt::to_line) });
+        }
+        put(&self.counters);
+        put(&EndLine { end: FORMAT_TAG.to_string() });
         out
     }
 
-    /// Parse and validate a serialized timeline checkpoint.
-    /// `load(save(state))` is bit-identical to `state`; any malformed
-    /// input comes back as a typed [`CheckpointError`], never a panic.
+    /// Parse and validate a serialized checkpoint. `load(save(state))`
+    /// is bit-identical to `state`; any malformed input comes back as a
+    /// typed [`CheckpointError`], never a panic.
     // lint:entrypoint(untrusted)
-    pub fn load(text: &str) -> Result<TimelineCheckpoint, CheckpointError> {
-        let (lines, h) = split_and_header(text, "timeline", 6)?;
+    pub fn load(text: &str) -> Result<Checkpoint<K>, CheckpointError> {
+        let (mut doc, h) = open_doc(text, K::TAG, 5 + usize::from(K::DRIVE_LINE))?;
         let params = DigestParams {
             hist_bins: h.hist_bins,
             sketch_bins: h.sketch_bins,
             exact_cap: h.exact_cap,
         };
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 6
-        let totals: TotalsLine = parse_line(lines[1], 2)?;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 6
-        let behavior = behavior_of(&parse_line::<BehaviorLine>(lines[2], 3)?, 3)?;
+        let (totals, _) = doc.parse_next()?;
+        let (behavior, _) = doc.parse_next()?;
         let mut stimuli = Vec::with_capacity(h.stimuli);
-        for i in 0..h.stimuli {
-            let ln = 4 + i;
-            // lint:allow(D7): i < h.stimuli and lines.len() == stimuli + 6 (split_and_header)
-            let sl: StimulusLine = parse_line(lines[3 + i], ln)?;
-            let hist = hist_of(&sl.hist, ln)?;
-            if hist.counts().len() != params.hist_bins {
-                return Err(CheckpointError::State {
-                    line: ln,
-                    detail: format!(
-                        "histogram has {} bins, header pins {}",
-                        hist.counts().len(),
-                        params.hist_bins
-                    ),
-                });
-            }
-            let sketch = sketch_of(&sl.sketch, ln)?;
-            if sketch.bins() != params.sketch_bins || sketch.exact_cap() != params.exact_cap {
-                return Err(CheckpointError::State {
-                    line: ln,
-                    detail: format!(
-                        "sketch built with bins={}/cap={}, header pins bins={}/cap={}",
-                        sketch.bins(),
-                        sketch.exact_cap(),
-                        params.sketch_bins,
-                        params.exact_cap
-                    ),
-                });
-            }
-            stimuli.push(StimulusDigest {
-                name: sl.name,
-                uplt: moments_of(&sl.uplt, ln)?,
-                hist,
-                sketch,
-            });
+        for _ in 0..h.stimuli {
+            let (acc, line) = doc.parse_next()?;
+            K::check_acc(&acc, &params).map_err(|detail| CheckpointError::State { line, detail })?;
+            stimuli.push(acc);
         }
-        let drive_ln = 4 + h.stimuli;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 6
-        let dl: DriveLine = parse_line(lines[3 + h.stimuli], drive_ln)?;
-        let drive = match dl.adaptive {
-            None => None,
-            Some(a) => {
-                if a.live.len() != h.stimuli || a.stopped_at.len() != h.stimuli {
-                    return Err(CheckpointError::Format {
-                        line: drive_ln,
-                        detail: format!(
-                            "drive state sized for {} stimuli, header has {}",
-                            a.live.len().max(a.stopped_at.len()),
-                            h.stimuli
-                        ),
-                    });
-                }
-                let mut decisions = Vec::with_capacity(a.decisions.len());
-                for d in &a.decisions {
-                    if d.stimulus >= h.stimuli {
-                        return Err(CheckpointError::Format {
-                            line: drive_ln,
-                            detail: format!(
-                                "decision names stimulus {} of {}",
-                                d.stimulus, h.stimuli
-                            ),
-                        });
-                    }
-                    decisions.push(StopDecision {
-                        epoch: d.epoch,
-                        stimulus: d.stimulus,
-                        name: d.name.clone(),
-                        retained: d.retained,
-                        half_width: f64::from_bits(d.half_width),
-                        cause: stop_cause_of(&d.cause, drive_ln)?,
-                    });
-                }
-                Some(DriveCkpt {
-                    live: a.live,
-                    epochs: a.epochs,
-                    stopped_at: a.stopped_at,
-                    decisions,
-                })
-            }
+        let drive = if K::DRIVE_LINE {
+            let (dl, line): (DriveLine, _) = doc.parse_next()?;
+            dl.adaptive.map(|a| DriveCkpt::of_line(a, h.stimuli, line)).transpose()?
+        } else {
+            None
         };
-        let counters_ln = 5 + h.stimuli;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 6
-        let cl: CountersLine = parse_line(lines[4 + h.stimuli], counters_ln)?;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 6
-        check_end(lines[5 + h.stimuli], 6 + h.stimuli)?;
-        Ok(TimelineCheckpoint {
+        let (counters, _) = doc.parse_next()?;
+        let (end, line): (EndLine, _) = doc.parse_next()?;
+        if end.end != FORMAT_TAG {
+            return Err(CheckpointError::Format { line, detail: "bad end marker".to_string() });
+        }
+        Ok(Checkpoint {
             params,
             range_lo: h.range_lo,
             range_hi: h.range_hi,
             admitted_before: h.admitted_before,
-            acc: TlShard {
-                stimuli,
-                behavior,
-                filters: filters_of(&totals.filters),
-                controls: controls_of(&totals.controls),
-                admitted: totals.admitted,
-                rejected: totals.rejected,
-                collected: totals.collected,
-                skipped: totals.skipped,
-                pruned: totals.pruned,
-            },
+            acc: Shard { stimuli, behavior, totals },
             drive,
-            counters: CounterState::of_line(cl),
+            counters,
         })
     }
 
     /// Append an adjacent worker checkpoint's range. Checks digest
-    /// params, range adjacency, admitted-index continuity, and every
-    /// per-stimulus identity/config before mutating, so a failed merge
-    /// leaves `self` unchanged. Driver checkpoints refuse to merge
-    /// (their drive state is not rangewise-composable).
+    /// params, range adjacency, and admitted-index continuity, then
+    /// merges the accumulators through the fallible shard merge
+    /// (identity, config, and counter overflow) into a copy, so a
+    /// failed merge leaves `self` unchanged. Timeline driver
+    /// checkpoints refuse to merge (their drive state is not
+    /// rangewise-composable).
     // lint:entrypoint(untrusted)
-    pub fn merge(&mut self, other: &TimelineCheckpoint) -> Result<(), CheckpointError> {
+    pub fn merge(&mut self, other: &Checkpoint<K>) -> Result<(), CheckpointError> {
         if self.drive.is_some() || other.drive.is_some() {
             return Err(CheckpointError::Config {
                 detail: "driver checkpoints cannot be merged; merge worker checkpoints and \
@@ -960,35 +674,13 @@ impl TimelineCheckpoint {
                 right_lo: other.range_lo,
             });
         }
-        let expected = self
-            .admitted_before
-            .saturating_add(self.acc.admitted)
-            .saturating_add(self.acc.pruned);
+        let expected = self.admitted_before.saturating_add(K::gate_admitted(&self.acc.totals));
         if other.admitted_before != expected {
             return Err(CheckpointError::AdmittedGap { expected, found: other.admitted_before });
         }
-        if self.acc.stimuli.len() != other.acc.stimuli.len() {
-            return Err(MergeError::StimulusCount {
-                left: self.acc.stimuli.len(),
-                right: other.acc.stimuli.len(),
-            }
-            .into());
-        }
-        // Merge into a clone and commit only on full success, so a
-        // mid-way config mismatch cannot leave a half-merged state.
-        let mut merged = self.acc.stimuli.clone();
-        for (a, b) in merged.iter_mut().zip(&other.acc.stimuli) {
-            a.merge(b)?;
-        }
-        self.acc.stimuli = merged;
-        self.acc.behavior.merge(&other.acc.behavior);
-        self.acc.filters.merge(&other.acc.filters);
-        self.acc.controls.merge(&other.acc.controls);
-        self.acc.admitted = self.acc.admitted.saturating_add(other.acc.admitted);
-        self.acc.rejected = self.acc.rejected.saturating_add(other.acc.rejected);
-        self.acc.collected = self.acc.collected.saturating_add(other.acc.collected);
-        self.acc.skipped = self.acc.skipped.saturating_add(other.acc.skipped);
-        self.acc.pruned = self.acc.pruned.saturating_add(other.acc.pruned);
+        let mut acc = self.acc.clone();
+        acc.merge(&other.acc)?;
+        self.acc = acc;
         self.counters.merge_from(&other.counters);
         self.range_hi = other.range_hi;
         Ok(())
@@ -999,53 +691,104 @@ impl TimelineCheckpoint {
     /// single-process run of `range_hi` participants returns.
     pub fn finalize(
         &self,
-        stimuli: &[TimelineStimulus],
+        stimuli: &[K::Stimulus],
         service: &dyn RecruitmentService,
-    ) -> Result<TimelineDigest, CheckpointError> {
+    ) -> Result<K::Digest, CheckpointError> {
         if self.range_lo != 0 {
             return Err(CheckpointError::PartialRange { lo: self.range_lo });
         }
-        tl_digest_of(&self.acc, stimuli, service, self.range_hi, &self.params)
+        let acc = std::slice::from_ref(&self.acc);
+        Ok(finish(stimuli, service, self.range_hi, &self.params, acc)?)
+    }
+
+    /// Validate this checkpoint as the start of a run over `stimuli`
+    /// with `budget` participants and accumulator sizing `params`,
+    /// restore its obs totals, and return the epoch loop's state. The
+    /// untrusted accumulators enter that state only through the
+    /// fallible shard merge (into a freshly built shard), and the
+    /// counts the loop does arithmetic on are bounded by the
+    /// participants processed.
+    fn resume(
+        &self,
+        stimuli: &[K::Stimulus],
+        budget: usize,
+        params: &DigestParams,
+    ) -> Result<DriveState<K>, CheckpointError> {
+        if self.params != K::params(params) {
+            return Err(CheckpointError::ParamsMismatch {
+                detail: format!("checkpoint {:?} vs run {:?}", self.params, K::params(params)),
+            });
+        }
+        if self.range_lo != 0 {
+            return Err(CheckpointError::PartialRange { lo: self.range_lo });
+        }
+        let processed = self.range_hi;
+        if processed > budget as u64 {
+            return Err(CheckpointError::Config {
+                detail: format!("checkpoint covers {processed} participants, budget is {budget}"),
+            });
+        }
+        if !self.is_resumable() {
+            return Err(CheckpointError::Config {
+                detail: "a worker checkpoint cannot seed a resume (no drive state)".to_string(),
+            });
+        }
+        let admitted = K::gate_admitted(&self.acc.totals);
+        if admitted > processed {
+            return Err(CheckpointError::Config {
+                detail: format!("checkpoint admits {admitted} of {processed} participants"),
+            });
+        }
+        let mut st = DriveState::fresh(stimuli, params);
+        st.acc.merge(&self.acc)?;
+        st.admitted = admitted;
+        st.processed = processed as usize;
+        if let Some(d) = &self.drive {
+            if d.live.len() != stimuli.len() || d.stopped_at.len() != stimuli.len() {
+                return Err(CheckpointError::Config {
+                    detail: format!(
+                        "drive state sized for {} stimuli, run has {}",
+                        d.live.len().max(d.stopped_at.len()),
+                        stimuli.len()
+                    ),
+                });
+            }
+            if d.epochs > processed {
+                return Err(CheckpointError::Config {
+                    detail: format!("{} epochs over {processed} participants", d.epochs),
+                });
+            }
+            st.live = d.live.clone();
+            st.epochs = d.epochs;
+            st.decisions = d.decisions.clone();
+            st.stopped_at = d.stopped_at.clone();
+        }
+        self.restore_counters();
+        Ok(st)
     }
 }
 
-/// Fallible counterpart of `flat::merge_tl_shards` for accumulators
-/// that came from disk: a fresh digest is built from `stimuli` +
-/// `params` and the untrusted state merged in through the
-/// [`MergeError`]-returning path.
-fn tl_digest_of(
-    acc: &TlShard,
-    stimuli: &[TimelineStimulus],
-    service: &dyn RecruitmentService,
-    n_participants: u64,
+/// A driver checkpoint of the epoch loop's current state (obs totals
+/// captured from the live registry).
+fn driver_ckpt<K: CampaignKind>(
     params: &DigestParams,
-) -> Result<TimelineDigest, CheckpointError> {
-    if stimuli.len() != acc.stimuli.len() {
-        return Err(
-            MergeError::StimulusCount { left: stimuli.len(), right: acc.stimuli.len() }.into()
-        );
+    st: &DriveState<K>,
+    threads: usize,
+) -> Checkpoint<K> {
+    Checkpoint {
+        params: K::params(params),
+        range_lo: 0,
+        range_hi: st.processed as u64,
+        admitted_before: 0,
+        acc: st.acc.clone(),
+        drive: K::DRIVE_LINE.then(|| DriveCkpt {
+            live: st.live.clone(),
+            epochs: st.epochs,
+            stopped_at: st.stopped_at.clone(),
+            decisions: st.decisions.clone(),
+        }),
+        counters: CounterState::capture(threads),
     }
-    let n = n_participants as usize;
-    let mut digest = TimelineDigest {
-        stimuli: stimuli
-            .iter()
-            .map(|st| StimulusDigest::new(&st.name, st.video.duration().as_secs_f64(), params))
-            .collect(),
-        recruited: n_participants,
-        admitted: acc.admitted,
-        rejected: acc.rejected,
-        recruitment_cost_usd: service.cost_per_participant() * n as f64,
-        recruitment_duration_secs: if n == 0 { 0.0 } else { service.arrival(n - 1).as_secs_f64() },
-        responses_collected: acc.collected,
-        responses_skipped: acc.skipped,
-        behavior: acc.behavior.clone(),
-        filters: acc.filters,
-        controls: acc.controls,
-    };
-    for (a, b) in digest.stimuli.iter_mut().zip(&acc.stimuli) {
-        a.merge(b)?;
-    }
-    Ok(digest)
 }
 
 // ---------------------------------------------------------------------
@@ -1156,68 +899,13 @@ pub enum RunOutcome {
     Interrupted(Box<TimelineCheckpoint>),
 }
 
-fn validate_tl_resume(
-    resume: &TimelineCheckpoint,
-    stimuli: &[TimelineStimulus],
-    budget: usize,
-    sc: &StreamConfig,
-) -> Result<DriveState, CheckpointError> {
-    if resume.params != sc.params {
-        return Err(CheckpointError::ParamsMismatch {
-            detail: format!("checkpoint {:?} vs run {:?}", resume.params, sc.params),
-        });
-    }
-    if resume.range_lo != 0 {
-        return Err(CheckpointError::PartialRange { lo: resume.range_lo });
-    }
-    if resume.range_hi > budget as u64 {
-        return Err(CheckpointError::Config {
-            detail: format!(
-                "checkpoint covers {} participants, budget is {budget}",
-                resume.range_hi
-            ),
-        });
-    }
-    let Some(drive) = &resume.drive else {
-        return Err(CheckpointError::Config {
-            detail: "a worker checkpoint cannot seed a resume (no drive state)".to_string(),
-        });
-    };
-    if drive.live.len() != stimuli.len() || drive.stopped_at.len() != stimuli.len() {
-        return Err(CheckpointError::Config {
-            detail: format!(
-                "drive state sized for {} stimuli, run has {}",
-                drive.live.len().max(drive.stopped_at.len()),
-                stimuli.len()
-            ),
-        });
-    }
-    // Probe-merge the untrusted accumulator against a freshly
-    // constructed one: this runs the full fallible identity/config
-    // checks, after which the epoch loop's infallible internal shard
-    // merges are genuinely unreachable from disk.
-    let mut probe = TlShard::new(stimuli, &sc.params);
-    if probe.stimuli.len() != resume.acc.stimuli.len() {
-        return Err(MergeError::StimulusCount {
-            left: probe.stimuli.len(),
-            right: resume.acc.stimuli.len(),
-        }
-        .into());
-    }
-    for (a, b) in probe.stimuli.iter_mut().zip(&resume.acc.stimuli) {
-        a.merge(b)?;
-    }
-    Ok(DriveState {
-        live: drive.live.clone(),
-        acc: resume.acc.clone(),
-        // Gate admissions over [0, processed): pruned participants
-        // consumed an admitted index without being served.
-        admitted: resume.acc.admitted.saturating_add(resume.acc.pruned),
-        processed: resume.range_hi as usize,
-        epochs: drive.epochs,
-        decisions: drive.decisions.clone(),
-        stopped_at: drive.stopped_at.clone(),
-    })
+/// How a checkpointed A/B run ended.
+#[derive(Debug)]
+pub enum AbRunOutcome {
+    /// Ran to its natural end.
+    Complete(Box<AbDigest>),
+    /// The observer interrupted at a barrier.
+    Interrupted(Box<AbCheckpoint>),
 }
 
 /// Run a timeline campaign (adaptive or plain) with checkpoint/resume
@@ -1267,33 +955,26 @@ pub fn checkpointed_timeline_campaign(
         ck.every_shards.max(1).saturating_mul(shard)
     };
     let eff_ac = AdaptiveConfig { epoch: eff_epoch, ..*ac };
-
-    let resume_state = match resume {
-        None => None,
-        Some(c) => {
-            let st = validate_tl_resume(c, stimuli, budget, sc)?;
-            c.restore_counters();
-            Some(st)
-        }
-    };
+    let resume_state = resume.map(|c| c.resume(stimuli, budget, &sc.params)).transpose()?;
 
     let end = {
-        let mut barrier = |st: &DriveState| -> bool {
+        let mut barrier = |st: &DriveState<Timeline>| -> bool {
+            let t = &st.acc.totals;
             let live = live_line(
                 &st.acc.stimuli,
-                st.acc.admitted,
-                st.acc.collected,
-                st.acc.skipped,
-                st.acc.filters.kept,
+                t.admitted,
+                t.collected,
+                t.skipped,
+                t.filters.kept,
                 st.processed as u64,
                 budget as u64,
                 false,
             );
             observer(CheckpointEvent::Live(&live));
-            observer(CheckpointEvent::Checkpoint(&tl_driver_ckpt(sc.params, st, threads)))
+            observer(CheckpointEvent::Checkpoint(&driver_ckpt(&sc.params, st, threads)))
         };
         let AdaptiveBackend::Flat = backend;
-        let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
+        let ctx = Ctx::<Timeline>::new(stimuli, service, cfg, filters, seed, sc.params, threads);
         drive_resumable(
             stimuli,
             service,
@@ -1302,8 +983,8 @@ pub fn checkpointed_timeline_campaign(
             &eff_ac,
             resume_state,
             &mut barrier,
-            |lo, hi, base, live| flat_tl_epoch(&ctx, lo, hi, threads, shard, base, live),
-        )
+            |lo, hi, base, live| epoch(&ctx, lo, hi, threads, shard, base, live),
+        )?
     };
 
     match end {
@@ -1315,376 +996,9 @@ pub fn checkpointed_timeline_campaign(
         // Nothing bumps the registry between the barrier and the
         // return, so this capture equals the one the observer saw.
         DriveEnd::Interrupted(st) => {
-            Ok(RunOutcome::Interrupted(Box::new(tl_driver_ckpt(sc.params, &st, threads))))
+            Ok(RunOutcome::Interrupted(Box::new(driver_ckpt(&sc.params, &st, threads))))
         }
     }
-}
-
-/// A driver checkpoint of the epoch loop's current state (obs totals
-/// captured from the live registry).
-fn tl_driver_ckpt(params: DigestParams, st: &DriveState, threads: usize) -> TimelineCheckpoint {
-    TimelineCheckpoint {
-        params,
-        range_lo: 0,
-        range_hi: st.processed as u64,
-        admitted_before: 0,
-        acc: st.acc.clone(),
-        drive: Some(DriveCkpt {
-            live: st.live.clone(),
-            epochs: st.epochs,
-            stopped_at: st.stopped_at.clone(),
-            decisions: st.decisions.clone(),
-        }),
-        counters: CounterState::capture(threads),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Worker checkpoints (multi-process split)
-// ---------------------------------------------------------------------
-
-/// Fold the participant index range `[lo, hi)` of a timeline campaign
-/// and return it as a mergeable worker checkpoint — the unit of
-/// multi-process splitting. The worker recomputes the range's
-/// admitted-index base from the seed (the same pre-pass every epoch
-/// runs), so independently launched workers over adjacent ranges merge
-/// into exactly the single-process run's state.
-///
-/// Obs contract: reset the registry first; the checkpoint's counters
-/// are then this range's contribution.
-#[allow(clippy::too_many_arguments)] // mirrors the engine entry points it wraps
-pub fn timeline_worker_checkpoint(
-    stimuli: &[TimelineStimulus],
-    service: &dyn RecruitmentService,
-    lo: usize,
-    hi: usize,
-    cfg: &ExperimentConfig,
-    filters: &[Box<dyn ParticipantFilter + Send + Sync>],
-    seed: Seed,
-    sc: &StreamConfig,
-) -> Result<TimelineCheckpoint, CheckpointError> {
-    if stimuli.is_empty() {
-        return Err(CheckpointError::Config { detail: "campaign needs stimuli".to_string() });
-    }
-    if lo > hi {
-        return Err(CheckpointError::Config {
-            detail: format!("inverted worker range [{lo}, {hi})"),
-        });
-    }
-    let _t = eyeorg_obs::phase_timer("core.worker_checkpoint");
-    let threads = resolve_threads(cfg.threads);
-    let shard = sc.shard_size.max(1);
-    let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
-    let admitted_before =
-        admitted_bases_range(0, lo, shard, threads, &ctx.pop, ctx.recruit_seed, 0).1;
-    let live = vec![true; stimuli.len()];
-    let (folds, _) = flat_tl_epoch(&ctx, lo, hi, threads, shard, admitted_before, &live);
-    let mut acc = TlShard::new(stimuli, &sc.params);
-    for fold in &folds {
-        acc.merge_from(fold);
-    }
-    Ok(TimelineCheckpoint {
-        params: sc.params,
-        range_lo: lo as u64,
-        range_hi: hi as u64,
-        admitted_before,
-        acc,
-        drive: None,
-        counters: CounterState::capture(threads),
-    })
-}
-
-// ---------------------------------------------------------------------
-// A/B checkpoints
-// ---------------------------------------------------------------------
-
-/// An A/B campaign's accumulator state over `[range_lo, range_hi)` —
-/// the A/B counterpart of [`TimelineCheckpoint`]. A/B runs have no
-/// adaptive driver, so every A/B checkpoint is both resumable and
-/// mergeable.
-#[derive(Debug)]
-pub struct AbCheckpoint {
-    range_lo: u64,
-    range_hi: u64,
-    admitted_before: u64,
-    acc: AbShard,
-    counters: CounterState,
-}
-
-impl AbCheckpoint {
-    /// The index range `[lo, hi)` this checkpoint covers.
-    pub fn range(&self) -> (u64, u64) {
-        (self.range_lo, self.range_hi)
-    }
-
-    /// Gate admissions in `[0, range_lo)`.
-    pub fn admitted_before(&self) -> u64 {
-        self.admitted_before
-    }
-
-    /// Re-apply the recorded obs totals (see the module-docs contract).
-    pub fn restore_counters(&self) {
-        self.counters.restore();
-    }
-
-    /// Serialize to the versioned JSONL format (ends with a newline).
-    pub fn save(&self) -> String {
-        let n_stim = self.acc.stimuli.len();
-        let header = HeaderLine {
-            format: FORMAT_TAG.to_string(),
-            version: CHECKPOINT_VERSION,
-            kind: "ab".to_string(),
-            // A/B digests carry no histogram/sketch accumulators.
-            hist_bins: 0,
-            sketch_bins: 0,
-            exact_cap: 0,
-            range_lo: self.range_lo,
-            range_hi: self.range_hi,
-            admitted_before: self.admitted_before,
-            stimuli: n_stim,
-            lines: n_stim + 5,
-        };
-        let mut out = String::new();
-        out.push_str(&json_line(&header));
-        out.push('\n');
-        out.push_str(&json_line(&AbTotalsLine {
-            admitted: self.acc.admitted,
-            rejected: self.acc.rejected,
-            cast: self.acc.cast,
-            skipped: self.acc.skipped,
-            filters: filters_line(&self.acc.filters),
-            controls: controls_line(&self.acc.controls),
-        }));
-        out.push('\n');
-        out.push_str(&json_line(&behavior_line(&self.acc.behavior)));
-        out.push('\n');
-        for s in &self.acc.stimuli {
-            out.push_str(&json_line(&AbStimulusLine {
-                name: s.name.clone(),
-                a: s.tally.a,
-                b: s.tally.b,
-                nd: s.tally.nd,
-                shows: s.shows,
-                a_left_shows: s.a_left_shows,
-            }));
-            out.push('\n');
-        }
-        out.push_str(&json_line(&self.counters.to_line()));
-        out.push('\n');
-        out.push_str(&json_line(&EndLine { end: FORMAT_TAG.to_string() }));
-        out.push('\n');
-        out
-    }
-
-    /// Parse and validate a serialized A/B checkpoint. Same contract as
-    /// [`TimelineCheckpoint::load`].
-    // lint:entrypoint(untrusted)
-    pub fn load(text: &str) -> Result<AbCheckpoint, CheckpointError> {
-        let (lines, h) = split_and_header(text, "ab", 5)?;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 5
-        let totals: AbTotalsLine = parse_line(lines[1], 2)?;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 5
-        let behavior = behavior_of(&parse_line::<BehaviorLine>(lines[2], 3)?, 3)?;
-        let mut stimuli = Vec::with_capacity(h.stimuli);
-        for i in 0..h.stimuli {
-            // lint:allow(D7): i < h.stimuli and lines.len() == stimuli + 5 (split_and_header)
-            let sl: AbStimulusLine = parse_line(lines[3 + i], 4 + i)?;
-            stimuli.push(AbStimulusDigest {
-                name: sl.name,
-                tally: crate::analysis::AbTally { a: sl.a, b: sl.b, nd: sl.nd },
-                shows: sl.shows,
-                a_left_shows: sl.a_left_shows,
-            });
-        }
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 5
-        let cl: CountersLine = parse_line(lines[3 + h.stimuli], 4 + h.stimuli)?;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 5
-        check_end(lines[4 + h.stimuli], 5 + h.stimuli)?;
-        Ok(AbCheckpoint {
-            range_lo: h.range_lo,
-            range_hi: h.range_hi,
-            admitted_before: h.admitted_before,
-            acc: AbShard {
-                stimuli,
-                behavior,
-                filters: filters_of(&totals.filters),
-                controls: controls_of(&totals.controls),
-                admitted: totals.admitted,
-                rejected: totals.rejected,
-                cast: totals.cast,
-                skipped: totals.skipped,
-            },
-            counters: CounterState::of_line(cl),
-        })
-    }
-
-    /// Append an adjacent checkpoint's range; same contract as
-    /// [`TimelineCheckpoint::merge`] (A/B folds never prune, so the
-    /// admitted-continuity check uses admissions alone).
-    // lint:entrypoint(untrusted)
-    pub fn merge(&mut self, other: &AbCheckpoint) -> Result<(), CheckpointError> {
-        if other.range_lo != self.range_hi {
-            return Err(CheckpointError::RangeGap {
-                left_hi: self.range_hi,
-                right_lo: other.range_lo,
-            });
-        }
-        let expected = self.admitted_before.saturating_add(self.acc.admitted);
-        if other.admitted_before != expected {
-            return Err(CheckpointError::AdmittedGap { expected, found: other.admitted_before });
-        }
-        if self.acc.stimuli.len() != other.acc.stimuli.len() {
-            return Err(MergeError::StimulusCount {
-                left: self.acc.stimuli.len(),
-                right: other.acc.stimuli.len(),
-            }
-            .into());
-        }
-        let mut merged = self.acc.stimuli.clone();
-        for (a, b) in merged.iter_mut().zip(&other.acc.stimuli) {
-            a.merge(b)?;
-        }
-        self.acc.stimuli = merged;
-        self.acc.behavior.merge(&other.acc.behavior);
-        self.acc.filters.merge(&other.acc.filters);
-        self.acc.controls.merge(&other.acc.controls);
-        self.acc.admitted = self.acc.admitted.saturating_add(other.acc.admitted);
-        self.acc.rejected = self.acc.rejected.saturating_add(other.acc.rejected);
-        self.acc.cast = self.acc.cast.saturating_add(other.acc.cast);
-        self.acc.skipped = self.acc.skipped.saturating_add(other.acc.skipped);
-        self.counters.merge_from(&other.counters);
-        self.range_hi = other.range_hi;
-        Ok(())
-    }
-
-    /// Produce the final digest of a complete (`range_lo = 0`)
-    /// checkpoint; see [`TimelineCheckpoint::finalize`].
-    pub fn finalize(
-        &self,
-        stimuli: &[AbStimulus],
-        service: &dyn RecruitmentService,
-    ) -> Result<AbDigest, CheckpointError> {
-        if self.range_lo != 0 {
-            return Err(CheckpointError::PartialRange { lo: self.range_lo });
-        }
-        ab_digest_of(&self.acc, stimuli, service, self.range_hi)
-    }
-}
-
-/// Fallible counterpart of `flat::merge_ab_shards` for accumulators
-/// that came from disk.
-fn ab_digest_of(
-    acc: &AbShard,
-    stimuli: &[AbStimulus],
-    service: &dyn RecruitmentService,
-    n_participants: u64,
-) -> Result<AbDigest, CheckpointError> {
-    if stimuli.len() != acc.stimuli.len() {
-        return Err(
-            MergeError::StimulusCount { left: stimuli.len(), right: acc.stimuli.len() }.into()
-        );
-    }
-    let n = n_participants as usize;
-    let mut digest = AbDigest {
-        stimuli: stimuli.iter().map(|st| AbStimulusDigest::new(&st.name)).collect(),
-        recruited: n_participants,
-        admitted: acc.admitted,
-        rejected: acc.rejected,
-        recruitment_cost_usd: service.cost_per_participant() * n as f64,
-        recruitment_duration_secs: if n == 0 { 0.0 } else { service.arrival(n - 1).as_secs_f64() },
-        votes_cast: acc.cast,
-        votes_skipped: acc.skipped,
-        behavior: acc.behavior.clone(),
-        filters: acc.filters,
-        controls: acc.controls,
-    };
-    for (a, b) in digest.stimuli.iter_mut().zip(&acc.stimuli) {
-        a.merge(b)?;
-    }
-    Ok(digest)
-}
-
-/// How a checkpointed A/B run ended.
-#[derive(Debug)]
-pub enum AbRunOutcome {
-    /// Ran to its natural end.
-    Complete(Box<AbDigest>),
-    /// The observer interrupted at a barrier.
-    Interrupted(Box<AbCheckpoint>),
-}
-
-/// Fold the participant index range `[lo, hi)` of an A/B campaign into
-/// a mergeable worker checkpoint — the A/B counterpart of
-/// [`timeline_worker_checkpoint`].
-#[allow(clippy::too_many_arguments)] // mirrors the engine entry points it wraps
-pub fn ab_worker_checkpoint(
-    stimuli: &[AbStimulus],
-    service: &dyn RecruitmentService,
-    lo: usize,
-    hi: usize,
-    cfg: &ExperimentConfig,
-    filters: &[Box<dyn ParticipantFilter + Send + Sync>],
-    seed: Seed,
-    sc: &StreamConfig,
-) -> Result<AbCheckpoint, CheckpointError> {
-    if stimuli.is_empty() {
-        return Err(CheckpointError::Config { detail: "campaign needs stimuli".to_string() });
-    }
-    if lo > hi {
-        return Err(CheckpointError::Config {
-            detail: format!("inverted worker range [{lo}, {hi})"),
-        });
-    }
-    let _t = eyeorg_obs::phase_timer("core.worker_checkpoint");
-    let threads = resolve_threads(cfg.threads);
-    let shard = sc.shard_size.max(1);
-    let ctx = FlatAbCtx::new(stimuli, service, cfg, filters, seed, threads);
-    let admitted_before =
-        admitted_bases_range(0, lo, shard, threads, &ctx.pop, ctx.recruit_seed, 0).1;
-    let (folds, _) = flat_ab_epoch(&ctx, lo, hi, threads, shard, admitted_before);
-    let mut acc = AbShard::new(stimuli);
-    for fold in &folds {
-        acc.merge_from(fold);
-    }
-    Ok(AbCheckpoint {
-        range_lo: lo as u64,
-        range_hi: hi as u64,
-        admitted_before,
-        acc,
-        counters: CounterState::capture(threads),
-    })
-}
-
-fn validate_ab_resume(
-    resume: &AbCheckpoint,
-    stimuli: &[AbStimulus],
-    n_participants: usize,
-) -> Result<(), CheckpointError> {
-    if resume.range_lo != 0 {
-        return Err(CheckpointError::PartialRange { lo: resume.range_lo });
-    }
-    if resume.range_hi > n_participants as u64 {
-        return Err(CheckpointError::Config {
-            detail: format!(
-                "checkpoint covers {} participants, target is {n_participants}",
-                resume.range_hi
-            ),
-        });
-    }
-    // Probe-merge against a fresh accumulator (names), as on the
-    // timeline side.
-    let mut probe = AbShard::new(stimuli);
-    if probe.stimuli.len() != resume.acc.stimuli.len() {
-        return Err(MergeError::StimulusCount {
-            left: probe.stimuli.len(),
-            right: resume.acc.stimuli.len(),
-        }
-        .into());
-    }
-    for (a, b) in probe.stimuli.iter_mut().zip(&resume.acc.stimuli) {
-        a.merge(b)?;
-    }
-    Ok(())
 }
 
 /// Run an A/B campaign with checkpoint/resume: the
@@ -1712,36 +1026,114 @@ pub fn checkpointed_ab_campaign(
     let threads = resolve_threads(cfg.threads);
     let shard = sc.shard_size.max(1);
     let chunk = ck.every_shards.max(1).saturating_mul(shard);
-    let ctx = FlatAbCtx::new(stimuli, service, cfg, filters, seed, threads);
-    let (mut acc, mut processed) = match resume {
-        None => (AbShard::new(stimuli), 0usize),
-        Some(c) => {
-            validate_ab_resume(c, stimuli, n_participants)?;
-            c.restore_counters();
-            (c.acc.clone(), c.range_hi as usize)
-        }
+    let ctx = Ctx::<Ab>::new(stimuli, service, cfg, filters, seed, sc.params, threads);
+    let mut st = match resume {
+        None => DriveState::fresh(stimuli, &sc.params),
+        Some(c) => c.resume(stimuli, n_participants, &sc.params)?,
     };
-    let mut admitted = acc.admitted;
-    while processed < n_participants {
-        let hi = processed.saturating_add(chunk).min(n_participants);
+    while st.processed < n_participants {
+        let hi = st.processed.saturating_add(chunk).min(n_participants);
         let (folds, range_admitted) =
-            flat_ab_epoch(&ctx, processed, hi, threads, shard, admitted);
+            epoch(&ctx, st.processed, hi, threads, shard, st.admitted, &st.live);
         for fold in &folds {
-            acc.merge_from(fold);
+            st.acc.merge(fold)?;
         }
-        admitted += range_admitted;
-        processed = hi;
-        let ckpt = AbCheckpoint {
-            range_lo: 0,
-            range_hi: processed as u64,
-            admitted_before: 0,
-            acc: acc.clone(),
-            counters: CounterState::capture(threads),
-        };
+        st.admitted += range_admitted;
+        st.processed = hi;
+        let ckpt = driver_ckpt(&sc.params, &st, threads);
         if !observer(&ckpt) {
             return Ok(AbRunOutcome::Interrupted(Box::new(ckpt)));
         }
     }
-    let digest = merge_ab_shards(stimuli, service, n_participants, std::slice::from_ref(&acc));
+    let acc = std::slice::from_ref(&st.acc);
+    let digest = finish(stimuli, service, n_participants as u64, &sc.params, acc)?;
     Ok(AbRunOutcome::Complete(Box::new(digest)))
+}
+
+// ---------------------------------------------------------------------
+// Worker checkpoints (multi-process split)
+// ---------------------------------------------------------------------
+
+/// Fold the index range `[lo, hi)` into a mergeable worker checkpoint;
+/// see [`timeline_worker_checkpoint`].
+#[allow(clippy::too_many_arguments)] // mirrors the engine entry points it wraps
+fn worker_checkpoint<K: CampaignKind>(
+    stimuli: &[K::Stimulus],
+    service: &dyn RecruitmentService,
+    lo: usize,
+    hi: usize,
+    cfg: &ExperimentConfig,
+    filters: &[Box<dyn ParticipantFilter + Send + Sync>],
+    seed: Seed,
+    sc: &StreamConfig,
+) -> Result<Checkpoint<K>, CheckpointError> {
+    if stimuli.is_empty() {
+        return Err(CheckpointError::Config { detail: "campaign needs stimuli".to_string() });
+    }
+    if lo > hi {
+        return Err(CheckpointError::Config {
+            detail: format!("inverted worker range [{lo}, {hi})"),
+        });
+    }
+    let _t = eyeorg_obs::phase_timer("core.worker_checkpoint");
+    let threads = resolve_threads(cfg.threads);
+    let shard = sc.shard_size.max(1);
+    let ctx = Ctx::<K>::new(stimuli, service, cfg, filters, seed, sc.params, threads);
+    let admitted_before =
+        admitted_bases_range(0, lo, shard, threads, &ctx.pop, ctx.recruit_seed, 0).1;
+    let live = vec![true; stimuli.len()];
+    let (folds, _) = epoch(&ctx, lo, hi, threads, shard, admitted_before, &live);
+    let mut acc = Shard::new(stimuli, &sc.params);
+    for fold in &folds {
+        acc.merge(fold)?;
+    }
+    Ok(Checkpoint {
+        params: K::params(&sc.params),
+        range_lo: lo as u64,
+        range_hi: hi as u64,
+        admitted_before,
+        acc,
+        drive: None,
+        counters: CounterState::capture(threads),
+    })
+}
+
+/// Fold the participant index range `[lo, hi)` of a timeline campaign
+/// and return it as a mergeable worker checkpoint — the unit of
+/// multi-process splitting. The worker recomputes the range's
+/// admitted-index base from the seed (the same pre-pass every epoch
+/// runs), so independently launched workers over adjacent ranges merge
+/// into exactly the single-process run's state.
+///
+/// Obs contract: reset the registry first; the checkpoint's counters
+/// are then this range's contribution.
+#[allow(clippy::too_many_arguments)] // mirrors the engine entry points it wraps
+pub fn timeline_worker_checkpoint(
+    stimuli: &[TimelineStimulus],
+    service: &dyn RecruitmentService,
+    lo: usize,
+    hi: usize,
+    cfg: &ExperimentConfig,
+    filters: &[Box<dyn ParticipantFilter + Send + Sync>],
+    seed: Seed,
+    sc: &StreamConfig,
+) -> Result<TimelineCheckpoint, CheckpointError> {
+    worker_checkpoint(stimuli, service, lo, hi, cfg, filters, seed, sc)
+}
+
+/// Fold the participant index range `[lo, hi)` of an A/B campaign into
+/// a mergeable worker checkpoint — the A/B counterpart of
+/// [`timeline_worker_checkpoint`].
+#[allow(clippy::too_many_arguments)] // mirrors the engine entry points it wraps
+pub fn ab_worker_checkpoint(
+    stimuli: &[AbStimulus],
+    service: &dyn RecruitmentService,
+    lo: usize,
+    hi: usize,
+    cfg: &ExperimentConfig,
+    filters: &[Box<dyn ParticipantFilter + Send + Sync>],
+    seed: Seed,
+    sc: &StreamConfig,
+) -> Result<AbCheckpoint, CheckpointError> {
+    worker_checkpoint(stimuli, service, lo, hi, cfg, filters, seed, sc)
 }

@@ -26,14 +26,16 @@
 //! the same stimulus under the same [`DigestParams`]; anything else is
 //! either a programming error (shard folds of one campaign always
 //! agree by construction) or **untrusted input** (a checkpoint file
-//! from disk, see `crate::checkpoint`). The fallible merges therefore
-//! return [`MergeError`] — carrying both sides' identity/configuration
-//! so a mismatch names exactly what disagreed — instead of panicking.
-//! Internal shard-merge callers, whose inputs share one construction
-//! site, discharge the `Result` with a documented `expect` waiver; the
-//! checkpoint loader propagates it as a typed error to its caller.
+//! from disk, see `crate::checkpoint`). The same holds for counter
+//! overflow: a real campaign never nears `u64::MAX` (or a histogram
+//! bin `u32::MAX`), a forged file can. Every merge therefore returns
+//! [`MergeError`] — naming exactly what disagreed or overflowed —
+//! instead of panicking or wrapping. The engine discharges the `Result`
+//! of merging its own shard folds in one documented place; the
+//! checkpoint layer propagates it as a typed error to its caller.
 
 use eyeorg_stats::{Histogram, Moments, QuantileSketch};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::analysis::AbTally;
 use crate::campaign::{AbCampaign, TimelineCampaign};
@@ -135,6 +137,17 @@ pub enum MergeError {
         /// Incoming side's configuration.
         right: BinConfig,
     },
+    /// A merged count or sum would overflow its integer type — only
+    /// forged input gets here.
+    Overflow {
+        /// The accumulator or counter that overflowed.
+        counter: &'static str,
+    },
+}
+
+/// `a + b`, or the overflow as a [`MergeError`] naming `counter`.
+pub(crate) fn checked_sum(a: u64, b: u64, counter: &'static str) -> Result<u64, MergeError> {
+    a.checked_add(b).ok_or(MergeError::Overflow { counter })
 }
 
 impl std::fmt::Display for MergeError {
@@ -152,14 +165,16 @@ impl std::fmt::Display for MergeError {
             MergeError::SketchConfig { stimulus, left, right } => {
                 write!(f, "sketch config mismatch on {stimulus:?}: {left:?} vs {right:?}")
             }
+            MergeError::Overflow { counter } => write!(f, "merged {counter} count overflows"),
         }
     }
 }
 
 impl std::error::Error for MergeError {}
 
-/// Per-stimulus UPLT accumulators (kept participants only).
-#[derive(Debug, Clone, PartialEq)]
+/// Per-stimulus UPLT accumulators (kept participants only). The serde
+/// form is a checkpoint's timeline stimulus line.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StimulusDigest {
     /// Stimulus name.
     pub name: String,
@@ -223,10 +238,10 @@ impl StimulusDigest {
 
     /// Fold another shard's accumulators for the *same* stimulus in.
     ///
-    /// Errors (leaving the moments untouched too — the checks run
-    /// before any state changes) when the stimulus names or the
-    /// histogram/sketch construction parameters disagree; see
-    /// [`MergeError`] and the module docs for who may `expect` this.
+    /// Errors when the stimulus names or the histogram/sketch
+    /// construction parameters disagree (checked before any state
+    /// changes, so `self` is untouched), or when a count overflows (the
+    /// moments may then already be merged); see [`MergeError`].
     pub fn merge(&mut self, other: &StimulusDigest) -> Result<(), MergeError> {
         if self.name != other.name {
             return Err(MergeError::StimulusName {
@@ -250,14 +265,18 @@ impl StimulusDigest {
                 right: BinConfig::of_sketch(&other.sketch),
             });
         }
-        self.uplt.merge(&other.uplt);
-        // `bits_eq` above is the exact comparison these merges gate on,
-        // so a refusal here is impossible; the asserts are a belt over
-        // the `#[must_use]` bools, not a reachable panic path.
-        // lint:allow(D7): bits_eq above makes a merge refusal unreachable
-        assert!(self.hist.merge(&other.hist), "histogram merge after equal-config check");
-        // lint:allow(D7): see above - merge cannot refuse after bits_eq
-        assert!(self.sketch.merge(&other.sketch), "sketch merge after equal-config check");
+        // After the `bits_eq` checks above, a refusal can only be an
+        // overflow.
+        let overflow = |counter| Err(MergeError::Overflow { counter });
+        if !self.uplt.merge(&other.uplt) {
+            return overflow("uplt moments");
+        }
+        if !self.hist.merge(&other.hist) {
+            return overflow("histogram");
+        }
+        if !self.sketch.merge(&other.sketch) {
+            return overflow("sketch");
+        }
         Ok(())
     }
 
@@ -310,8 +329,9 @@ impl StimulusDigest {
 
 /// Behaviour moments over every admitted participant (the unfiltered
 /// view §4.2 analyses — the streaming counterpart of
-/// `analysis::behavior_points`).
-#[derive(Debug, Clone, PartialEq, Default)]
+/// `analysis::behavior_points`). The serde form is a checkpoint's
+/// behaviour line.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct BehaviorDigest {
     /// Minutes on site (videos + instructions).
     pub minutes_on_site: Moments,
@@ -332,17 +352,23 @@ impl BehaviorDigest {
         self.max_video_load_secs.push(point.max_video_load_secs);
     }
 
-    /// Fold another shard's moments in.
-    pub fn merge(&mut self, other: &BehaviorDigest) {
-        self.minutes_on_site.merge(&other.minutes_on_site);
-        self.actions.merge(&other.actions);
-        self.out_of_focus_secs.merge(&other.out_of_focus_secs);
-        self.max_video_load_secs.merge(&other.max_video_load_secs);
+    /// Fold another shard's moments in; fails (possibly part-merged)
+    /// when a count or sum overflows.
+    pub fn merge(&mut self, other: &BehaviorDigest) -> Result<(), MergeError> {
+        let merged = self.minutes_on_site.merge(&other.minutes_on_site)
+            && self.actions.merge(&other.actions)
+            && self.out_of_focus_secs.merge(&other.out_of_focus_secs)
+            && self.max_video_load_secs.merge(&other.max_video_load_secs);
+        if merged {
+            Ok(())
+        } else {
+            Err(MergeError::Overflow { counter: "behavior moments" })
+        }
     }
 }
 
 /// Control-question outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ControlTally {
     /// Controls answered correctly.
     pub passed: u64,
@@ -360,10 +386,13 @@ impl ControlTally {
         }
     }
 
-    /// Fold another shard's tally in.
-    pub fn merge(&mut self, other: &ControlTally) {
-        self.passed += other.passed;
-        self.failed += other.failed;
+    /// Fold another shard's tally in (unchanged on overflow).
+    pub fn merge(&mut self, other: &ControlTally) -> Result<(), MergeError> {
+        *self = ControlTally {
+            passed: checked_sum(self.passed, other.passed, "controls.passed")?,
+            failed: checked_sum(self.failed, other.failed, "controls.failed")?,
+        };
+        Ok(())
     }
 }
 
@@ -465,8 +494,8 @@ impl AbStimulusDigest {
 
     /// Fold another shard's accumulators for the same stimulus in.
     ///
-    /// Errors when the stimulus names disagree; see [`MergeError`] and
-    /// the module docs for who may `expect` this.
+    /// Errors when the stimulus names disagree or a count overflows
+    /// (`self` is then unchanged); see [`MergeError`].
     pub fn merge(&mut self, other: &AbStimulusDigest) -> Result<(), MergeError> {
         if self.name != other.name {
             return Err(MergeError::StimulusName {
@@ -474,10 +503,39 @@ impl AbStimulusDigest {
                 right: other.name.clone(),
             });
         }
-        self.tally.merge(&other.tally);
-        self.shows += other.shows;
-        self.a_left_shows += other.a_left_shows;
+        let shows = checked_sum(self.shows, other.shows, "shows")?;
+        let a_left_shows = checked_sum(self.a_left_shows, other.a_left_shows, "a_left_shows")?;
+        self.tally.merge(&other.tally)?;
+        self.shows = shows;
+        self.a_left_shows = a_left_shows;
         Ok(())
+    }
+}
+
+/// An A/B stimulus line of a checkpoint: the tally's votes flattened
+/// beside the show counts.
+#[derive(Serialize, Deserialize)]
+struct AbStimulusLine {
+    name: String,
+    a: u32,
+    b: u32,
+    nd: u32,
+    shows: u64,
+    a_left_shows: u64,
+}
+
+impl Serialize for AbStimulusDigest {
+    fn to_value(&self) -> Value {
+        let AbTally { a, b, nd } = self.tally;
+        let (shows, a_left_shows) = (self.shows, self.a_left_shows);
+        AbStimulusLine { name: self.name.clone(), a, b, nd, shows, a_left_shows }.to_value()
+    }
+}
+
+impl Deserialize for AbStimulusDigest {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let AbStimulusLine { name, a, b, nd, shows, a_left_shows } = AbStimulusLine::from_value(v)?;
+        Ok(AbStimulusDigest { name, tally: AbTally { a, b, nd }, shows, a_left_shows })
     }
 }
 

@@ -23,8 +23,10 @@ use std::collections::BTreeSet;
 
 use eyeorg_crowd::VideoSession;
 use eyeorg_stats::percentile_band;
+use serde::{Deserialize, Serialize};
 
 use crate::campaign::{AbCampaign, ControlRow, ParticipantIndex, TimelineCampaign};
+use crate::digest::{checked_sum, MergeError};
 
 /// The paper's action threshold: the most active trusted participant
 /// performed 369 seek actions; paid participants 50 % above that are
@@ -163,8 +165,9 @@ pub enum FilterDecision {
 
 /// Streaming-friendly filter outcome counts: [`FilterReport`] minus the
 /// materialized kept-index set, so a shard can carry it in O(1) memory
-/// and merge by integer addition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// and merge by integer addition. The serde form is the `filters`
+/// object of a checkpoint's totals line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FilterTally {
     /// Participants dropped by the engagement filters (actions + focus).
     pub engagement: u64,
@@ -187,12 +190,16 @@ impl FilterTally {
         }
     }
 
-    /// Fold another shard's tally in (exact integer adds).
-    pub fn merge(&mut self, other: &FilterTally) {
-        self.engagement += other.engagement;
-        self.soft += other.soft;
-        self.control += other.control;
-        self.kept += other.kept;
+    /// Fold another shard's tally in (exact integer adds; unchanged on
+    /// overflow).
+    pub fn merge(&mut self, other: &FilterTally) -> Result<(), MergeError> {
+        *self = FilterTally {
+            engagement: checked_sum(self.engagement, other.engagement, "filters.engagement")?,
+            soft: checked_sum(self.soft, other.soft, "filters.soft")?,
+            control: checked_sum(self.control, other.control, "filters.control")?,
+            kept: checked_sum(self.kept, other.kept, "filters.kept")?,
+        };
+        Ok(())
     }
 
     /// Total dropped.

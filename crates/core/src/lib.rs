@@ -17,7 +17,10 @@
 //!   shard-by-shard into bounded-memory digests, in structure-of-arrays
 //!   form (per-stimulus planes, per-worker arena scratch,
 //!   stimulus-blocked inner loop) — byte-identical results, memory
-//!   proportional to a shard, one range fold per test kind.
+//!   proportional to a shard. The engine and the checkpoint layer are
+//!   written once over a sealed test-kind trait (private module
+//!   `kind`: the timeline and A/B tests, their shard state, and each
+//!   kind's one range fold).
 //! * [`adaptive`] — the early-stopping driver over the sharded engine.
 //! * [`digest`] — mergeable campaign digests and the materializing
 //!   folds that pin the two engines to each other.
@@ -78,6 +81,7 @@ pub mod digest;
 pub mod experiment;
 pub mod filtering;
 pub mod flat;
+mod kind;
 pub mod report;
 pub mod validation;
 pub mod viz;

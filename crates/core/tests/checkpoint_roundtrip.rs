@@ -13,7 +13,9 @@
 //!   workers) equal `flat_ab_campaign` in digest *and* counter
 //!   fingerprint.
 //! * Truncated or corrupted bytes come back as typed
-//!   [`CheckpointError`]s — never a panic (D4 discipline end to end).
+//!   [`CheckpointError`]s — never a panic (D4 discipline end to end),
+//!   and so do forged counters that overflow when merged or resumed.
+//! * The v1 bytes themselves are pinned by hash.
 //!
 //! The obs registry is process-global, so every test here holds
 //! [`obs_lock`]: the one test that enables the registry and compares
@@ -22,6 +24,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use eyeorg_browser::BrowserConfig;
+use eyeorg_core::digest::MergeError;
 use eyeorg_core::prelude::*;
 use eyeorg_crowd::CrowdFlower;
 use eyeorg_stats::Seed;
@@ -399,6 +402,10 @@ fn ab_interrupt_resume_composes() {
 #[test]
 fn ab_checkpoints_match_flat_campaign_digest_and_counters() {
     let _obs = obs_lock();
+    // Capture the stimuli before enabling obs: a first capture inside
+    // the enabled window would count its page loads into the reference
+    // counters only.
+    ab_stimuli();
     eyeorg_obs::enable();
     for shard in [1usize, 16, 64] {
         for threads in [1usize, 2] {
@@ -550,6 +557,65 @@ fn truncated_and_corrupted_bytes_yield_typed_errors() {
     assert!(TimelineCheckpoint::load(&good).is_ok());
 }
 
+/// Replace the first `"key":<number>` in `doc` with `"key":<value>`.
+fn forge(doc: &str, key: &str, value: u64) -> String {
+    let tag = format!("\"{key}\":");
+    let at = doc.find(&tag).expect("key present") + tag.len();
+    let digits = doc[at..].bytes().take_while(u8::is_ascii_digit).count();
+    format!("{}{value}{}", &doc[..at], &doc[at + digits..])
+}
+
+/// A worker checkpoint whose filter tally is forged to `u64::MAX` still
+/// loads (every field is individually valid), but merging it with a
+/// real neighbour overflows the tally: the merge returns a typed
+/// overflow error and leaves the receiver unchanged, in debug and
+/// release builds alike.
+#[test]
+fn forged_tally_overflow_is_a_typed_merge_error() {
+    let _obs = obs_lock();
+    let forged = forge(&tl_worker(0, 100, 64, 2048).save(), "kept", u64::MAX);
+    let mut left = TimelineCheckpoint::load(&forged).expect("forged tally still loads");
+    let before = left.save();
+    let right = tl_worker(100, 150, 64, 2048);
+    match left.merge(&right) {
+        Err(CheckpointError::Merge(MergeError::Overflow { counter: "filters.kept" })) => {}
+        other => panic!("expected a kept-tally overflow, got {other:?}"),
+    }
+    assert_eq!(left.save(), before, "failed merge left the receiver unchanged");
+}
+
+/// Resuming from a driver checkpoint whose filter tally is forged to
+/// `u64::MAX` fails with a typed overflow error at the first merge of
+/// a fresh epoch into it — never a panic or a silent wrap.
+#[test]
+fn forged_tally_overflow_is_a_typed_resume_error() {
+    let _obs = obs_lock();
+    let RunOutcome::Interrupted(driver) = run_checkpointed(&inactive(), None, Some(1)) else {
+        panic!("interrupts")
+    };
+    let forged = forge(&driver.save(), "kept", u64::MAX);
+    let resume = TimelineCheckpoint::load(&forged).expect("forged tally still loads");
+    let err = checkpointed_timeline_campaign(
+        tl_stimuli(),
+        &CrowdFlower,
+        N,
+        &cfg(),
+        &paper_pipeline(),
+        Seed(1440),
+        &sc(32, 2048),
+        &inactive(),
+        AdaptiveBackend::Flat,
+        Some(&resume),
+        &CheckpointConfig { every_shards: 2 },
+        &mut |_| true,
+    )
+    .expect_err("an overflowing tally must not resume");
+    assert!(
+        matches!(err, CheckpointError::Merge(MergeError::Overflow { counter: "filters.kept" })),
+        "{err:?}"
+    );
+}
+
 /// A worker checkpoint cannot seed a resume, and a resume under
 /// different digest params is refused.
 #[test]
@@ -593,4 +659,68 @@ fn resume_rejects_worker_checkpoints_and_params_drift() {
     )
     .expect_err("params drift must be refused");
     assert!(matches!(err, CheckpointError::ParamsMismatch { .. }), "{err:?}");
+}
+
+// -------------------------------------------------------------------
+// Format v1 byte pins
+// -------------------------------------------------------------------
+
+/// FNV-1a (64-bit) of a checkpoint document, as 16 hex digits.
+fn fnv_hex(text: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in text.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// The exact bytes `save()` writes for a small fixed campaign, pinned
+/// by hash: format v1 must stay byte-identical for every accumulator
+/// and both kinds. The pins cover an exact-regime timeline worker over
+/// the whole crowd, a spilled-regime worker over an inner range (non-
+/// zero `admitted_before`), an empty worker (the `±inf` sentinels), an
+/// adaptive driver checkpoint carrying stop decisions, and an A/B
+/// worker. Obs is off and freshly reset, so the counters line is the
+/// all-zero registry.
+#[test]
+fn v1_bytes_are_pinned() {
+    let _obs = obs_lock();
+    eyeorg_obs::disable();
+    eyeorg_obs::reset();
+    let ab = ab_worker_checkpoint(
+        ab_stimuli(),
+        &CrowdFlower,
+        100,
+        220,
+        &cfg(),
+        &paper_pipeline(),
+        Seed(1441),
+        &sc(64, 2048),
+    )
+    .expect("ab worker checkpoint");
+    let adaptive = AdaptiveConfig { epoch: 64, epsilon: 0.25, min_n: 16, max_n: 40 };
+    let RunOutcome::Interrupted(driver) = run_checkpointed(&adaptive, None, Some(1)) else {
+        panic!("observer interrupts at the first barrier");
+    };
+    let driver = driver.save();
+    assert!(driver.contains("\"decisions\":[{"), "the driver pin must carry decisions");
+    let docs = [
+        ("timeline worker, exact", tl_worker(0, N, 64, 2048).save()),
+        ("timeline worker, spilled", tl_worker(100, 220, 32, 4).save()),
+        ("timeline worker, empty", tl_worker(0, 0, 64, 2048).save()),
+        ("adaptive driver", driver),
+        ("ab worker", ab.save()),
+    ];
+    let got: Vec<(&str, String)> = docs.iter().map(|(what, doc)| (*what, fnv_hex(doc))).collect();
+    let pinned = [
+        ("timeline worker, exact", "0470f34422b11527"),
+        ("timeline worker, spilled", "e40689a82ab6a774"),
+        ("timeline worker, empty", "87035abcd2bc81b9"),
+        ("adaptive driver", "844d552ab4b74628"),
+        ("ab worker", "db45b62a626b17b9"),
+    ];
+    let pinned: Vec<(&str, String)> =
+        pinned.iter().map(|(what, h)| (*what, (*h).to_string())).collect();
+    assert_eq!(got, pinned);
 }

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 pub mod metrics;
 
@@ -295,8 +295,10 @@ impl Drop for PhaseGuard {
 }
 
 /// One histogram's serialised form: only non-empty buckets, as
-/// `(bucket_index, count)` pairs in index order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// `(bucket_index, count)` pairs in index order. Deserializable so a
+/// checkpoint can carry snapshots; [`restore`] drops out-of-range
+/// bucket indices, so any decoded snapshot is safe to re-apply.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Number of samples.
     pub count: u64,

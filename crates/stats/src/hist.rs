@@ -5,6 +5,8 @@
 //! unimodal, spread unimodal, multimodal). [`Histogram`] provides the
 //! binned counts; [`crate::modes`] performs the shape classification.
 
+use serde::{DeError, Deserialize, Serialize, Value};
+
 /// A histogram over `[lo, hi)` with equal-width bins (the final bin is
 /// closed on the right so `hi` itself is counted).
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +81,8 @@ impl Histogram {
     /// are exact and associative, so any merge tree over the same
     /// observations yields identical counts — the property the sharded
     /// campaign engine's order-pinned merge relies on. Returns `false`
-    /// (leaving `self` untouched) when the binning configurations differ.
+    /// (leaving `self` untouched) when the binning configurations differ
+    /// or a count would overflow.
     #[must_use]
     pub fn merge(&mut self, other: &Histogram) -> bool {
         if self.lo.to_bits() != other.lo.to_bits()
@@ -88,10 +91,14 @@ impl Histogram {
         {
             return false;
         }
+        let Some(outside) = self.outside.checked_add(other.outside) else { return false };
+        if self.counts.iter().zip(&other.counts).any(|(c, o)| c.checked_add(*o).is_none()) {
+            return false;
+        }
         for (c, o) in self.counts.iter_mut().zip(&other.counts) {
             *c += o;
         }
-        self.outside += other.outside;
+        self.outside = outside;
         true
     }
 
@@ -194,12 +201,15 @@ impl Histogram {
 
 /// Raw [`Histogram`] state — every private field, bounds as
 /// `to_bits()`. Produced by [`Histogram::state`], consumed by
-/// [`Histogram::from_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`Histogram::from_state`]; its serde form is the checkpoint
+/// format's histogram object.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramState {
     /// `lo.to_bits()`.
+    #[serde(rename = "lo")]
     pub lo_bits: u64,
     /// `hi.to_bits()`.
+    #[serde(rename = "hi")]
     pub hi_bits: u64,
     /// Per-bin counts (length = bin count).
     pub counts: Vec<u32>,
@@ -207,9 +217,41 @@ pub struct HistogramState {
     pub outside: u32,
 }
 
+// Serialized as the raw state; deserialized only through the
+// validating `from_state`.
+
+impl Serialize for Histogram {
+    fn to_value(&self) -> Value {
+        self.state().to_value()
+    }
+}
+
+impl Deserialize for Histogram {
+    // Decodes checkpoint bytes.
+    // lint:entrypoint(untrusted)
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Histogram::from_state(&HistogramState::from_value(v)?).map_err(|e| DeError(e.to_string()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_refuses_bin_overflow() {
+        let mut h = Histogram::with_bins(&[0.5], 0.0, 2.0, 2).unwrap();
+        let mut st = h.state();
+        st.counts[0] = u32::MAX;
+        let forged = Histogram::from_state(&st).unwrap();
+        let before = h.clone();
+        assert!(!h.merge(&forged));
+        assert_eq!(h, before);
+        st.counts[0] = 0;
+        st.outside = u32::MAX;
+        let mut out = Histogram::with_bins(&[5.0], 0.0, 2.0, 2).unwrap();
+        assert!(!out.merge(&Histogram::from_state(&st).unwrap()));
+    }
 
     #[test]
     fn state_round_trip_is_bit_exact() {

@@ -23,6 +23,8 @@
 //! * Mergeable fixed-bin histograms live in [`crate::hist`]
 //!   ([`crate::Histogram::merge`]).
 
+use serde::{DeError, Deserialize, Serialize, Value};
+
 use crate::quantile::percentile_sorted;
 
 /// Fixed-point scale for [`Moments`]: values are quantized to `2⁻³²`
@@ -90,14 +92,29 @@ impl Moments {
     }
 
     /// Fold another accumulator's state into this one (Chan-style
-    /// combine, exact because the carried sums are integers).
-    pub fn merge(&mut self, other: &Moments) {
-        self.n += other.n;
-        self.qsum += other.qsum;
-        self.qsumsq += other.qsumsq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.rejected += other.rejected;
+    /// combine, exact because the carried sums are integers). Returns
+    /// `false` (leaving `self` untouched) when a count or sum would
+    /// overflow — unreachable from pushes, reachable from forged
+    /// [`Moments::from_state`] input.
+    #[must_use]
+    pub fn merge(&mut self, other: &Moments) -> bool {
+        let (Some(n), Some(qsum), Some(qsumsq), Some(rejected)) = (
+            self.n.checked_add(other.n),
+            self.qsum.checked_add(other.qsum),
+            self.qsumsq.checked_add(other.qsumsq),
+            self.rejected.checked_add(other.rejected),
+        ) else {
+            return false;
+        };
+        *self = Moments {
+            n,
+            qsum,
+            qsumsq,
+            min: self.min.min(other.min),
+            max: self.max.max(other.max),
+            rejected,
+        };
+        true
     }
 
     /// Accepted observations.
@@ -197,7 +214,9 @@ impl Moments {
 
 /// Raw [`Moments`] state — every private field, floats as `to_bits()`.
 /// Produced by [`Moments::state`], consumed by [`Moments::from_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Its serde form is the checkpoint format's moments object (the
+/// `i128` sums as decimal strings).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MomentsState {
     /// Accepted observations.
     pub n: u64,
@@ -206,8 +225,10 @@ pub struct MomentsState {
     /// `Σ round(v²·2³²)` over accepted observations.
     pub qsumsq: i128,
     /// `min.to_bits()` (`+inf` when empty).
+    #[serde(rename = "min")]
     pub min_bits: u64,
     /// `max.to_bits()` (`-inf` when empty).
+    #[serde(rename = "max")]
     pub max_bits: u64,
     /// Rejected (non-finite / out-of-magnitude) observations.
     pub rejected: u64,
@@ -230,26 +251,33 @@ impl std::error::Error for StateError {}
 
 /// Raw [`QuantileSketch`] state — every private field, floats as
 /// `to_bits()`. Produced by [`QuantileSketch::state`], consumed by
-/// [`QuantileSketch::from_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`QuantileSketch::from_state`]; its serde form is the checkpoint
+/// format's sketch object.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuantileSketchState {
     /// `lo.to_bits()` (construction-time range start).
+    #[serde(rename = "lo")]
     pub lo_bits: u64,
     /// `hi.to_bits()` (construction-time range end).
+    #[serde(rename = "hi")]
     pub hi_bits: u64,
     /// Bin count once spilled.
     pub bins: usize,
     /// Exact-mode capacity.
+    #[serde(rename = "cap")]
     pub exact_cap: usize,
     /// Sorted exact sample as `to_bits()` values (exact mode only).
+    #[serde(rename = "exact")]
     pub exact_bits: Vec<u64>,
     /// Bin counts (spilled mode only; empty in exact mode).
     pub counts: Vec<u64>,
     /// Whether the sketch has spilled to bins.
     pub spilled: bool,
     /// `min.to_bits()` (`+inf` when empty).
+    #[serde(rename = "min")]
     pub min_bits: u64,
     /// `max.to_bits()` (`-inf` when empty).
+    #[serde(rename = "max")]
     pub max_bits: u64,
     /// Folded observations.
     pub n: u64,
@@ -353,7 +381,8 @@ impl QuantileSketch {
     }
 
     /// Fold another sketch into this one. Returns `false` (leaving
-    /// `self` untouched) when the construction parameters differ.
+    /// `self` untouched) when the construction parameters differ or a
+    /// count would overflow.
     #[must_use]
     pub fn merge(&mut self, other: &QuantileSketch) -> bool {
         if self.lo.to_bits() != other.lo.to_bits()
@@ -363,8 +392,23 @@ impl QuantileSketch {
         {
             return false;
         }
-        self.n += other.n;
-        self.rejected += other.rejected;
+        let (Some(n), Some(rejected)) =
+            (self.n.checked_add(other.n), self.rejected.checked_add(other.rejected))
+        else {
+            return false;
+        };
+        // Every bin sum is bounded by `n` (the bins partition the
+        // sample, which `from_state` checks), but spilled pairs are
+        // checked bin by bin anyway: they are the only adds of two
+        // untrusted counts.
+        if self.spilled
+            && other.spilled
+            && self.counts.iter().zip(&other.counts).any(|(c, o)| c.checked_add(*o).is_none())
+        {
+            return false;
+        }
+        self.n = n;
+        self.rejected = rejected;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         if !self.spilled && !other.spilled && self.exact.len() + other.exact.len() <= self.exact_cap
@@ -601,6 +645,38 @@ impl QuantileSketch {
     }
 }
 
+// The accumulators serialize as their raw state and deserialize only
+// through the validating `from_state` constructors.
+
+impl Serialize for Moments {
+    fn to_value(&self) -> Value {
+        self.state().to_value()
+    }
+}
+
+impl Deserialize for Moments {
+    // Decodes checkpoint bytes.
+    // lint:entrypoint(untrusted)
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        MomentsState::from_value(v).map(|s| Moments::from_state(&s))
+    }
+}
+
+impl Serialize for QuantileSketch {
+    fn to_value(&self) -> Value {
+        self.state().to_value()
+    }
+}
+
+impl Deserialize for QuantileSketch {
+    // Decodes checkpoint bytes.
+    // lint:entrypoint(untrusted)
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        QuantileSketch::from_state(&QuantileSketchState::from_value(v)?)
+            .map_err(|e| DeError(e.to_string()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,7 +720,7 @@ mod tests {
             for &v in b {
                 right.push(v);
             }
-            left.merge(&right);
+            assert!(left.merge(&right));
             // Bit-exact state equality, not approximate agreement: the
             // digest fingerprint depends on it.
             assert_eq!(format!("{left:?}"), format!("{whole:?}"), "split {split}");
@@ -966,6 +1042,38 @@ mod tests {
         assert!(!a.merge(&c));
         assert!(!a.merge(&d));
         assert_eq!(a.count(), 0);
+    }
+
+    /// Overflowing merges — reachable only from forged states — are
+    /// refused and leave the receiver untouched.
+    #[test]
+    fn merges_refuse_counter_overflow() {
+        let mut m = Moments::new();
+        m.push(1.0);
+        let mut huge = m.state();
+        huge.n = u64::MAX;
+        assert!(!m.clone().merge(&Moments::from_state(&huge)));
+        let mut huge = m.state();
+        huge.qsum = i128::MAX;
+        let before = m.clone();
+        assert!(!m.merge(&Moments::from_state(&huge)));
+        assert_eq!(m, before);
+
+        let mut sk = QuantileSketch::new(0.0, 10.0, 4, 1).unwrap();
+        sk.push(1.0);
+        sk.push(2.0);
+        let mut st = sk.state();
+        st.counts = vec![u64::MAX, 0, 0, 0];
+        st.n = u64::MAX;
+        let forged = QuantileSketch::from_state(&st).unwrap();
+        let before = sk.clone();
+        assert!(!sk.merge(&forged));
+        assert_eq!(sk, before);
+        let mut st = sk.state();
+        st.rejected = u64::MAX;
+        let mut one = QuantileSketch::new(0.0, 10.0, 4, 1).unwrap();
+        one.push(f64::NAN);
+        assert!(!QuantileSketch::from_state(&st).unwrap().merge(&one));
     }
 
     #[test]

@@ -14,6 +14,10 @@ trap 'rm -f results/.RUN_fp_* results/.SCALE_fp_* results/.ADAPT_fp_* \
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# The fixed benchmark (perfbench/) is its own cargo workspace, so the
+# builds above never compile it: type-check it against the current
+# crate APIs (its target dir, perfbench/target/, is gitignored).
+cargo check --offline --manifest-path perfbench/Cargo.toml --all-targets
 # Determinism/panic-surface/taint static analysis (rules D1-D8,
 # DESIGN.md §3e/§3j): exits non-zero with path:line diagnostics on any
 # finding not covered by an inline waiver or the checked-in D6 baseline
