@@ -27,7 +27,8 @@
 //!   in range order, finalize, and write `digest-fp\ncounter-fp\n` for
 //!   the caller to `cmp` against the single-process reference.
 
-use eyeorg_bench::campaigns::capture_browser;
+use eyeorg_bench::campaigns::{alexa_stimuli, capture_browser};
+use eyeorg_bench::write_file;
 use eyeorg_core::prelude::*;
 use eyeorg_crowd::CrowdFlower;
 use eyeorg_stats::Seed;
@@ -49,9 +50,7 @@ fn seed() -> Seed {
 }
 
 fn smoke_stimuli() -> Vec<TimelineStimulus> {
-    let corpus = alexa_like(seed().derive("sites"), SITES);
-    let capture = CaptureConfig { repeats: 2, ..CaptureConfig::default() };
-    timeline_stimuli(&corpus, &capture_browser(), &capture, seed().derive("capture"))
+    alexa_stimuli(SITES, 2, seed())
 }
 
 fn smoke_ab_stimuli() -> Vec<AbStimulus> {
@@ -122,13 +121,6 @@ fn run_ck(
     )
     .expect("checkpointed campaign");
     (out, live)
-}
-
-fn write_file(path: &str, contents: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(path, contents).expect("write output file");
 }
 
 fn smoke(fp_out: Option<String>, live_out: Option<String>) {

@@ -29,12 +29,10 @@
 
 use std::time::Instant;
 
-use eyeorg_bench::campaigns::capture_browser;
+use eyeorg_bench::campaigns::{alexa_stimuli, flat_run};
 use eyeorg_core::prelude::*;
 use eyeorg_crowd::CrowdFlower;
 use eyeorg_stats::{set_chaos_seed, Seed};
-use eyeorg_video::CaptureConfig;
-use eyeorg_workload::alexa_like;
 
 const FULL_PARTICIPANTS: usize = 1_000_000;
 const FULL_SITES: usize = 20;
@@ -66,34 +64,6 @@ const ACCURACY_TOL: [f64; 5] = [0.2, 0.2, 0.1, 0.1, 0.2];
 const SMOKE_SITES: usize = 4;
 const SMOKE_PARTICIPANTS: usize = 400;
 
-fn stimuli(sites: usize, repeats: usize, seed: Seed) -> Vec<TimelineStimulus> {
-    let corpus = alexa_like(seed.derive("sites"), sites);
-    let capture = CaptureConfig { repeats, ..CaptureConfig::default() };
-    timeline_stimuli(&corpus, &capture_browser(), &capture, seed.derive("capture"))
-}
-
-fn flat_run(
-    stimuli: &[TimelineStimulus],
-    n: usize,
-    seed: Seed,
-    shard: usize,
-    threads: usize,
-) -> (TimelineDigest, f64) {
-    eyeorg_obs::reset();
-    let cfg = ExperimentConfig { threads, ..ExperimentConfig::default() };
-    let t = Instant::now();
-    let digest = flat_timeline_campaign(
-        stimuli,
-        &CrowdFlower,
-        n,
-        &cfg,
-        &paper_pipeline(),
-        seed,
-        &StreamConfig { shard_size: shard, ..StreamConfig::default() },
-    );
-    (digest, t.elapsed().as_secs_f64())
-}
-
 fn adaptive_run(
     stimuli: &[TimelineStimulus],
     budget: usize,
@@ -120,7 +90,7 @@ fn adaptive_run(
 
 fn smoke(fp_out: Option<String>) {
     let seed = Seed(2016).derive("perf-adaptive-smoke");
-    let stimuli = stimuli(SMOKE_SITES, 2, seed);
+    let stimuli = alexa_stimuli(SMOKE_SITES, 2, seed);
     let n = SMOKE_PARTICIPANTS;
     let run_seed = seed.derive("run");
     let mut identical = true;
@@ -209,10 +179,7 @@ fn smoke(fp_out: Option<String>) {
         let contents = format!(
             "{reference_fp}\n{reference_counters}\n{act_decisions}\n{act_fp}\n{act_counters}\n"
         );
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            std::fs::create_dir_all(dir).expect("create fingerprint dir");
-        }
-        std::fs::write(&path, contents).expect("write fingerprint file");
+        eyeorg_bench::write_file(&path, &contents);
         println!("wrote {path}");
     }
 
@@ -225,7 +192,7 @@ fn smoke(fp_out: Option<String>) {
 
 fn full() {
     let seed = Seed(2016).derive("perf-adaptive");
-    let stimuli = stimuli(FULL_SITES, 3, seed);
+    let stimuli = alexa_stimuli(FULL_SITES, 3, seed);
     let run_seed = seed.derive("run");
 
     // Full run: the whole budget through the flat engine.
@@ -342,8 +309,7 @@ fn full() {
         out.decisions.len(),
         deltas.join(",\n    ")
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_adaptive.json", &json).expect("write BENCH_adaptive.json");
+    eyeorg_bench::write_result("BENCH_adaptive.json", &json);
     println!("wrote results/BENCH_adaptive.json");
 
     if !reduction_ok || !accuracy_ok {

@@ -25,7 +25,7 @@ use eyeorg_net::sim::{NetEvent, NetSim};
 use eyeorg_net::tcp::MSS;
 use eyeorg_net::{NetworkProfile, SimDuration, SimTime};
 use eyeorg_stats::Seed;
-use eyeorg_video::{rewind_suggestion, FrameTimeline, Video};
+use eyeorg_video::{rewind_suggestion, EarliestSimilarTable, Video};
 use eyeorg_workload::{alexa_like, Website};
 
 /// One simulated page worth of objects, round-robined over connections;
@@ -129,9 +129,7 @@ fn capture_stage(sites: &[Website], seed: Seed, optimised: bool) -> PipelineOutp
         let n = video.frame_count();
         frames += n as u64;
         let rewinds: Vec<usize> = if optimised {
-            let mut tl = FrameTimeline::of(&video);
-            tl.precompute_rewinds();
-            (0..n).map(|c| tl.rewind_at(c)).collect()
+            EarliestSimilarTable::of(&video).as_slice().to_vec()
         } else {
             (0..n).map(|c| rewind_suggestion(&video, c)).collect()
         };
@@ -204,8 +202,7 @@ fn main() {
         capture_speedup >= 2.0,
         !divergence
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
+    eyeorg_bench::write_result("BENCH_hotpath.json", &json);
     println!("wrote results/BENCH_hotpath.json");
 
     if divergence {

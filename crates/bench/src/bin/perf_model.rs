@@ -33,10 +33,10 @@
 
 use std::time::Instant;
 
-use eyeorg_bench::campaigns::capture_browser;
+use eyeorg_bench::campaigns::alexa_stimuli;
 use eyeorg_core::experiment::{assign, assign_into};
 use eyeorg_core::filtering::{decide, paper_pipeline, FilterDecision, ParticipantFilter};
-use eyeorg_core::prelude::{timeline_stimuli, ControlRow, ExperimentConfig, TimelineStimulus};
+use eyeorg_core::prelude::{ControlRow, ExperimentConfig, TimelineStimulus};
 use eyeorg_core::validation::{captcha_admits, captcha_admits_gate};
 use eyeorg_crowd::fastpath::{
     self, session_seed, timeline_control_seeded, timeline_response_seeded, video_session_from_rng,
@@ -49,7 +49,7 @@ use eyeorg_crowd::{
 };
 use eyeorg_stats::rng::Rng;
 use eyeorg_stats::Seed;
-use eyeorg_video::{CaptureConfig, FrameTimeline};
+use eyeorg_video::EarliestSimilarTable;
 
 const FULL_SITES: usize = 12;
 const FULL_PARTICIPANTS: usize = 150_000;
@@ -70,19 +70,17 @@ struct Plane {
     ctrl_label: String,
     profile: TimelineStimulusProfile,
     session: SessionProfile,
-    rewinds: Vec<usize>,
+    rewinds: EarliestSimilarTable,
 }
 
 impl Plane {
     fn of(si: usize, st: &TimelineStimulus) -> Plane {
-        let mut tl = FrameTimeline::of(&st.video);
-        tl.precompute_rewinds();
         Plane {
             label: format!("tl-{si}"),
             ctrl_label: format!("ctrl-tl-{si}"),
             profile: TimelineStimulusProfile::of(&st.video),
             session: SessionProfile::of(&st.video, TestKind::Timeline),
-            rewinds: tl.rewind_table(),
+            rewinds: EarliestSimilarTable::of(&st.video),
         }
     }
 }
@@ -108,7 +106,6 @@ impl Check {
 
 struct Workload {
     stimuli: Vec<TimelineStimulus>,
-    frames: Vec<FrameTimeline>,
     planes: Vec<Plane>,
     pop: PopulationProfile,
     filters: Vec<Box<dyn ParticipantFilter + Send + Sync>>,
@@ -118,23 +115,12 @@ struct Workload {
 }
 
 fn workload(sites: usize, seed: Seed) -> Workload {
-    let corpus = eyeorg_workload::alexa_like(seed.derive("sites"), sites);
-    let capture = CaptureConfig { repeats: 2, ..CaptureConfig::default() };
-    let stimuli = timeline_stimuli(&corpus, &capture_browser(), &capture, seed.derive("capture"));
-    let frames = stimuli
-        .iter()
-        .map(|st| {
-            let mut tl = FrameTimeline::of(&st.video);
-            tl.precompute_rewinds();
-            tl
-        })
-        .collect();
+    let stimuli = alexa_stimuli(sites, 2, seed);
     let planes = stimuli.iter().enumerate().map(|(si, st)| Plane::of(si, st)).collect::<Vec<_>>();
     let cfg = ExperimentConfig::default();
     Workload {
         k: cfg.videos_per_participant.min(planes.len()),
         stimuli,
-        frames,
         planes,
         pop: CrowdFlower.population(),
         filters: paper_pipeline(),
@@ -193,7 +179,8 @@ fn reference_pass(w: &Workload, n: usize, live: &[bool]) -> (Check, f64) {
             if session.skipped {
                 skipped += 1;
             } else {
-                let resp = timeline_response_shared(video, &w.frames[si], &p, &label);
+                let resp =
+                    timeline_response_shared(video, w.planes[si].rewinds.as_slice(), &p, &label);
                 collected += 1;
                 votes.push((si, resp.submitted.as_secs_f64()));
             }
@@ -322,8 +309,13 @@ fn fast_pass(w: &Workload, n: usize, live: &[bool]) -> (Check, f64) {
                     let si = picks_col[cbase + slot] as usize;
                     if voted[cbase + slot] && live[si] {
                         let plane = &w.planes[si];
-                        let resp = timeline_response_seeded(&plane.profile, &plane.rewinds, p,
-                            mseeds, &plane.label);
+                        let resp = timeline_response_seeded(
+                            &plane.profile,
+                            plane.rewinds.as_slice(),
+                            p,
+                            mseeds,
+                            &plane.label,
+                        );
                         check.u64(si as u64);
                         check.f64(resp.submitted.as_secs_f64());
                     }
@@ -391,17 +383,18 @@ fn components(w: &Workload, n: usize) -> String {
     }
     let session_fast = t0.elapsed().as_secs_f64() / n as f64 * 1e6;
     // Responses: per-cell double derivation vs hoisted parent.
+    let rewinds = plane.rewinds.as_slice();
     let t0 = Instant::now();
     for p in &personas {
         std::hint::black_box(
-            timeline_response_flat(&plane.profile, &plane.rewinds, p, &plane.label).submitted,
+            timeline_response_flat(&plane.profile, rewinds, p, &plane.label).submitted,
         );
     }
     let response_ref = t0.elapsed().as_secs_f64() / n as f64 * 1e6;
     let t0 = Instant::now();
     for (p, s) in personas.iter().zip(&mseeds) {
         std::hint::black_box(
-            timeline_response_seeded(&plane.profile, &plane.rewinds, p, s, &plane.label).submitted,
+            timeline_response_seeded(&plane.profile, rewinds, p, s, &plane.label).submitted,
         );
     }
     let response_fast = t0.elapsed().as_secs_f64() / n as f64 * 1e6;
@@ -494,8 +487,7 @@ fn main() {
          \"identical\": {identical}\n}}\n",
         scenario_json.join(", ")
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_model.json", &json).expect("write BENCH_model.json");
+    eyeorg_bench::write_result("BENCH_model.json", &json);
     println!("wrote results/BENCH_model.json");
     if !identical {
         eprintln!("FAIL: fast path diverged from the reference model");

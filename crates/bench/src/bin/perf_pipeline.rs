@@ -192,8 +192,7 @@ fn main() {
     let json = format!(
         "{{\n  \"sites\": {SITES},\n  \"repeats\": {REPEATS},\n  \"participants\": {PARTICIPANTS},\n  {env},\n  \"corpus_secs\": {corpus_secs:.6},\n  \"timings\": [\n{rows}\n  ],\n  \"speedup_at_4_threads\": {{\"capture\": {capture_speedup:.3}, \"timeline\": {timeline_speedup:.3}, \"ab\": {ab_speedup:.3}, \"campaign\": {campaign_speedup:.3}}},\n  \"capture_cache\": {{\"cold_secs\": {cold_secs:.6}, \"warm_secs\": {warm_secs:.6}, \"speedup\": {cache_speedup:.3}}},\n  \"counters_identical_across_thread_counts\": {counters_identical},\n  \"identical_across_thread_counts\": {identical}\n}}\n"
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
+    eyeorg_bench::write_result("BENCH_pipeline.json", &json);
     println!(
         "speedup at 4 threads ({cpus} cpu(s) available): capture {capture_speedup:.2}x, timeline {timeline_speedup:.2}x, ab {ab_speedup:.2}x"
     );

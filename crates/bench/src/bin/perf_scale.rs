@@ -28,12 +28,10 @@
 
 use std::time::Instant;
 
-use eyeorg_bench::campaigns::capture_browser;
+use eyeorg_bench::campaigns::{alexa_stimuli, flat_run};
 use eyeorg_core::prelude::*;
 use eyeorg_crowd::CrowdFlower;
 use eyeorg_stats::Seed;
-use eyeorg_video::CaptureConfig;
-use eyeorg_workload::alexa_like;
 
 const FULL_PARTICIPANTS: usize = 1_000_000;
 const FULL_SITES: usize = 20;
@@ -82,34 +80,6 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-fn stimuli(sites: usize, repeats: usize, seed: Seed) -> Vec<TimelineStimulus> {
-    let corpus = alexa_like(seed.derive("sites"), sites);
-    let capture = CaptureConfig { repeats, ..CaptureConfig::default() };
-    timeline_stimuli(&corpus, &capture_browser(), &capture, seed.derive("capture"))
-}
-
-fn flat_run(
-    stimuli: &[TimelineStimulus],
-    n: usize,
-    seed: Seed,
-    shard: usize,
-    threads: usize,
-) -> (TimelineDigest, f64) {
-    eyeorg_obs::reset();
-    let cfg = ExperimentConfig { threads, ..ExperimentConfig::default() };
-    let t = Instant::now();
-    let digest = flat_timeline_campaign(
-        stimuli,
-        &CrowdFlower,
-        n,
-        &cfg,
-        &paper_pipeline(),
-        seed,
-        &StreamConfig { shard_size: shard, ..StreamConfig::default() },
-    );
-    (digest, t.elapsed().as_secs_f64())
-}
-
 fn materializing_run(
     stimuli: &[TimelineStimulus],
     n: usize,
@@ -126,7 +96,7 @@ fn materializing_run(
 
 fn smoke(fp_out: Option<String>) {
     let seed = Seed(2016).derive("perf-scale-smoke");
-    let stimuli = stimuli(SMOKE_SITES, 2, seed);
+    let stimuli = alexa_stimuli(SMOKE_SITES, 2, seed);
     let n = SMOKE_PARTICIPANTS;
 
     let (reference, mat_secs) = materializing_run(&stimuli, n, seed.derive("run"));
@@ -170,10 +140,7 @@ fn smoke(fp_out: Option<String>) {
         // Digest + counter fingerprints of the sharded runs; callers
         // compare this file byte-for-byte across EYEORG_THREADS values.
         let contents = format!("{flat_fp}\n{flat_counters}\n");
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            std::fs::create_dir_all(dir).expect("create fingerprint dir");
-        }
-        std::fs::write(&path, contents).expect("write fingerprint file");
+        eyeorg_bench::write_file(&path, &contents);
         println!("wrote {path}");
     }
 
@@ -186,7 +153,7 @@ fn smoke(fp_out: Option<String>) {
 
 fn full() {
     let seed = Seed(2016).derive("perf-scale");
-    let stimuli = stimuli(FULL_SITES, 3, seed);
+    let stimuli = alexa_stimuli(FULL_SITES, 3, seed);
 
     // Headline run: a million participants, bounded memory.
     let (full_digest, full_secs) =
@@ -316,8 +283,7 @@ fn full() {
          \"speedup_gate_10x\": {speedup_ok},\n  \
          \"identical_across_shards_threads_and_materializing\": {identical}\n}}\n"
     );
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_scale.json", &json).expect("write BENCH_scale.json");
+    eyeorg_bench::write_result("BENCH_scale.json", &json);
     println!("wrote results/BENCH_scale.json");
 
     if !identical || !bounded || !speedup_ok || !par_eff_ok {

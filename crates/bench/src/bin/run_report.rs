@@ -94,14 +94,10 @@ fn main() {
     });
 
     let report = eyeorg_obs::snapshot("run-report", threads);
-    std::fs::create_dir_all(
-        std::path::Path::new(&out_path).parent().unwrap_or(std::path::Path::new(".")),
-    )
-    .expect("create output dir");
-    std::fs::write(&out_path, report.to_json_pretty()).expect("write run report");
+    eyeorg_bench::write_file(&out_path, &report.to_json_pretty());
     println!("wrote {out_path} (threads={threads})");
     if let Some(fp) = fp_path {
-        std::fs::write(&fp, report.counter_fingerprint()).expect("write fingerprint");
+        eyeorg_bench::write_file(&fp, &report.counter_fingerprint());
         println!("wrote {fp}");
     }
 }

@@ -5,10 +5,14 @@
 //! around keeps `run_all` from recapturing thousands of page loads per
 //! figure.
 
+use std::time::Instant;
+
 use eyeorg_browser::{AdBlocker, BrowserConfig};
 use eyeorg_net::NetworkProfile;
 use eyeorg_core::prelude::*;
 use eyeorg_crowd::{CrowdFlower, TrustedChannel};
+use eyeorg_stats::Seed;
+use eyeorg_video::CaptureConfig;
 use eyeorg_workload::{ad_heavy, alexa_like};
 
 use crate::Scale;
@@ -27,6 +31,39 @@ pub fn capture_browser() -> BrowserConfig {
 /// protocols selects (§3.1 gives webpeg per-capture network emulation).
 pub fn protocol_capture_browser() -> BrowserConfig {
     BrowserConfig::new().with_network(NetworkProfile::cable())
+}
+
+/// The perf harnesses' timeline stimuli: `sites` Alexa-like sites, each
+/// captured with `repeats` loads on [`capture_browser`].
+pub fn alexa_stimuli(sites: usize, repeats: usize, seed: Seed) -> Vec<TimelineStimulus> {
+    let corpus = alexa_like(seed.derive("sites"), sites);
+    let capture = CaptureConfig { repeats, ..CaptureConfig::default() };
+    timeline_stimuli(&corpus, &capture_browser(), &capture, seed.derive("capture"))
+}
+
+/// One sharded-engine timeline campaign (paper filters, CrowdFlower
+/// crowd of `n`) on freshly reset observability counters: the digest
+/// and its wall seconds.
+pub fn flat_run(
+    stimuli: &[TimelineStimulus],
+    n: usize,
+    seed: Seed,
+    shard: usize,
+    threads: usize,
+) -> (TimelineDigest, f64) {
+    eyeorg_obs::reset();
+    let cfg = ExperimentConfig { threads, ..ExperimentConfig::default() };
+    let t = Instant::now();
+    let digest = flat_timeline_campaign(
+        stimuli,
+        &CrowdFlower,
+        n,
+        &cfg,
+        &paper_pipeline(),
+        seed,
+        &StreamConfig { shard_size: shard, ..StreamConfig::default() },
+    );
+    (digest, t.elapsed().as_secs_f64())
 }
 
 /// A campaign together with its §4.3 filter report.

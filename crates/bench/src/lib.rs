@@ -118,10 +118,15 @@ pub fn env_metadata_json() -> String {
             env_raw.as_deref().unwrap_or("unset")
         );
     }
-    let env_json = match &env_raw {
-        Some(v) => format!("\"{}\"", v.escape_default()),
-        None => String::from("null"),
-    };
+    env_metadata_fragment(cpus, env_raw.as_deref(), pool)
+}
+
+/// The `"environment": {..}` fragment of [`env_metadata_json`] for the
+/// given hardware threads, raw `EYEORG_THREADS` value, and automatic
+/// pool. The raw value is arbitrary user text, so it is encoded as a
+/// JSON string (`null` when unset) by the JSON writer, never by hand.
+fn env_metadata_fragment(cpus: usize, env_raw: Option<&str>, pool: usize) -> String {
+    let env_json = serde_json::to_string(&env_raw).expect("a string always encodes");
     format!(
         "\"environment\": {{\"available_parallelism\": {cpus}, \
          \"eyeorg_threads_env\": {env_json}, \"effective_auto_pool\": {pool}}}"
@@ -138,14 +143,23 @@ pub fn series_csv(header: &str, points: &[(f64, f64)]) -> String {
     out
 }
 
+/// Write `contents` to `path`, creating its parent directory on
+/// demand. Every harness artefact — results, fingerprints, checkpoint
+/// and live files — goes through here.
+pub fn write_file(path: impl AsRef<std::path::Path>, contents: &str) {
+    let path = path.as_ref();
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("create output dir");
+    }
+    std::fs::write(path, contents).expect("write output file");
+}
+
 /// Write a report file under `results/` (created on demand), returning
 /// the path. Harness binaries call this so every figure leaves a
 /// machine-readable artefact next to its printed output.
 pub fn write_result(name: &str, contents: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(name);
-    std::fs::write(&path, contents).expect("write result file");
+    let path = std::path::Path::new("results").join(name);
+    write_file(&path, contents);
     path
 }
 
@@ -169,5 +183,21 @@ mod tests {
         assert_eq!(lines[0], "x,y");
         assert!(lines[1].starts_with("1.000000,2.000000"));
         assert_eq!(lines.len(), 3);
+    }
+
+    #[test]
+    fn env_fragment_is_valid_json_for_any_env_value() {
+        for raw in [None, Some("2"), Some("é"), Some("é\u{1}"), Some("a\"b\\c\n\t\u{7f}")] {
+            let json = format!("{{{}}}", env_metadata_fragment(4, raw, 2));
+            let v: serde_json::Value = serde_json::from_str(&json)
+                .unwrap_or_else(|e| panic!("invalid JSON for {raw:?}: {e}: {json}"));
+            let env = &v["environment"];
+            assert_eq!(env["available_parallelism"], 4u64);
+            assert_eq!(env["effective_auto_pool"], 2u64);
+            match raw {
+                Some(raw) => assert_eq!(env["eyeorg_threads_env"], raw, "{json}"),
+                None => assert_eq!(env["eyeorg_threads_env"], serde_json::Value::Null),
+            }
+        }
     }
 }

@@ -231,7 +231,8 @@ pub fn behavior_points(campaign: &TimelineCampaign) -> Vec<BehaviorPoint> {
     let index = ParticipantIndex::new(n, campaign.rows.iter().map(|r| r.participant));
     (0..n)
         .map(|pi| {
-            let sessions = crate::campaign::sessions_of(&campaign.rows, &index, pi);
+            let sessions =
+                crate::campaign::sessions_of(&campaign.rows, &index, pi, |r| r.session);
             let total = eyeorg_crowd::total_time_on_site(&sessions, &campaign.participants[pi]);
             BehaviorPoint {
                 participant: pi,
@@ -256,7 +257,8 @@ pub fn ab_behavior_points(campaign: &AbCampaign) -> Vec<BehaviorPoint> {
     let index = ParticipantIndex::new(n, campaign.rows.iter().map(|r| r.participant));
     (0..n)
         .map(|pi| {
-            let sessions = crate::campaign::ab_sessions_of(&campaign.rows, &index, pi);
+            let sessions =
+                crate::campaign::sessions_of(&campaign.rows, &index, pi, |r| r.session);
             let total = eyeorg_crowd::total_time_on_site(&sessions, &campaign.participants[pi]);
             BehaviorPoint {
                 participant: pi,

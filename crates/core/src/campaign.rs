@@ -14,6 +14,11 @@
 //! the aggregate digest should use [`crate::flat`], the sharded
 //! engine — byte-identical results (pinned by the
 //! `streaming_equivalence` tests) in memory proportional to a shard.
+//!
+//! Each runner is one `par_map_range` loop over admitted participants,
+//! merged in participant order, at every thread count. The timeline
+//! runner first builds one `EarliestSimilarTable` per stimulus, which
+//! every response indexes read-only.
 
 use std::sync::Arc;
 
@@ -22,8 +27,8 @@ use eyeorg_crowd::{
     Participant, Recruitment, RecruitmentService, TestKind, TimelineResponse, VideoSession,
 };
 use eyeorg_net::SimTime;
-use eyeorg_stats::{effective_pool, par_map_range, resolve_threads, Seed};
-use eyeorg_video::{FrameTimeline, Video};
+use eyeorg_stats::{par_map_range, resolve_threads, Seed};
+use eyeorg_video::{EarliestSimilarTable, Video};
 
 use crate::experiment::{a_on_left, assign, AbStimulus, ExperimentConfig, TimelineStimulus};
 
@@ -134,100 +139,53 @@ pub fn run_timeline_campaign(
     // Hard rules first: the humanness gate turns scripts away before any
     // response is collected (§3.3).
     let gate = crate::validation::captcha_gate(recruitment.participants);
+    // One immutable rewind table per stimulus, built up front and
+    // shared read-only by every participant worker.
+    let tables: Vec<EarliestSimilarTable> = par_map_range(stimuli.len(), threads, |si| {
+        EarliestSimilarTable::of(&stimuli[si].video)
+    });
+    // Every response draws only from the participant's own derived seed
+    // streams, so participants are independent work items; merging in
+    // participant index order makes the row list identical at every
+    // thread count.
+    let per_participant = par_map_range(gate.admitted.len(), threads, |pi| {
+        let participant = &gate.admitted[pi];
+        let picks = assign(
+            seed.derive("timeline"),
+            pi as u64,
+            stimuli.len(),
+            cfg.videos_per_participant,
+        );
+        let mut p_rows = Vec::with_capacity(picks.len());
+        for &si in &picks {
+            let label = format!("tl-{si}");
+            let video = &stimuli[si].video;
+            let session = behavior::video_session(video, participant, TestKind::Timeline, &label);
+            let response = if session.skipped {
+                None
+            } else {
+                Some(timeline_response_shared(video, tables[si].as_slice(), participant, &label))
+            };
+            p_rows.push(TimelineRow { participant: pi, stimulus: si, session, response });
+        }
+        // The control reuses one of the participant's videos with a
+        // nearly-blank rewind suggestion (Fig. 3b).
+        let control = cfg.with_controls.then(|| {
+            let ctrl_video = picks[0];
+            let passed = timeline_control_passes(participant, &format!("tl-{ctrl_video}"));
+            ControlRow { participant: pi, passed }
+        });
+        (p_rows, control)
+    });
     let mut rows = Vec::new();
     let mut controls = Vec::new();
-    // Branch on the pool that will actually run (an oversubscribed
-    // request degrades to 1 worker on small machines): the sequential
-    // engine computes rewinds lazily, so taking it when no real
-    // parallelism is available avoids the parallel engine's eager
-    // precompute. Output is byte-identical either way.
-    if effective_pool(threads) <= 1 {
-        // The sequential engine: one memoising timeline per stimulus,
-        // rewinds computed lazily as participants touch frames.
-        let mut frames: Vec<FrameTimeline> =
-            stimuli.iter().map(|s| FrameTimeline::of(&s.video)).collect();
-        for (pi, participant) in gate.admitted.iter().enumerate() {
-            let picks = assign(
-                seed.derive("timeline"),
-                pi as u64,
-                stimuli.len(),
-                cfg.videos_per_participant,
-            );
-            for &si in &picks {
-                let label = format!("tl-{si}");
-                let video = &stimuli[si].video;
-                let session =
-                    behavior::video_session(video, participant, TestKind::Timeline, &label);
-                let response = if session.skipped {
-                    None
-                } else {
-                    Some(eyeorg_crowd::timeline_response_cached(
-                        video,
-                        &mut frames[si],
-                        participant,
-                        &label,
-                    ))
-                };
-                rows.push(TimelineRow { participant: pi, stimulus: si, session, response });
-            }
-            if cfg.with_controls {
-                // The control reuses one of the participant's videos with
-                // a nearly-blank rewind suggestion (Fig. 3b).
-                let ctrl_video = picks[0];
-                let passed = timeline_control_passes(participant, &format!("tl-{ctrl_video}"));
-                controls.push(ControlRow { participant: pi, passed });
-            }
-        }
-    } else {
-        // The parallel engine. Materialise one immutable timeline per
-        // stimulus with the rewind table filled up front, so participant
-        // workers share them read-only; the rewind scan is pure, so the
-        // table holds exactly the values the lazy path would compute.
-        let frames: Vec<FrameTimeline> = par_map_range(stimuli.len(), threads, |si| {
-            let mut tl = FrameTimeline::of(&stimuli[si].video);
-            tl.precompute_rewinds();
-            tl
-        });
-        // Every response draws only from the participant's own derived
-        // seed streams, so participants are independent work items;
-        // merging in participant index order makes the row list
-        // byte-identical to the sequential engine.
-        let per_participant = par_map_range(gate.admitted.len(), threads, |pi| {
-            let participant = &gate.admitted[pi];
-            let picks = assign(
-                seed.derive("timeline"),
-                pi as u64,
-                stimuli.len(),
-                cfg.videos_per_participant,
-            );
-            let mut p_rows = Vec::with_capacity(picks.len());
-            for &si in &picks {
-                let label = format!("tl-{si}");
-                let video = &stimuli[si].video;
-                let session =
-                    behavior::video_session(video, participant, TestKind::Timeline, &label);
-                let response = if session.skipped {
-                    None
-                } else {
-                    Some(timeline_response_shared(video, &frames[si], participant, &label))
-                };
-                p_rows.push(TimelineRow { participant: pi, stimulus: si, session, response });
-            }
-            let control = cfg.with_controls.then(|| {
-                let ctrl_video = picks[0];
-                let passed = timeline_control_passes(participant, &format!("tl-{ctrl_video}"));
-                ControlRow { participant: pi, passed }
-            });
-            (p_rows, control)
-        });
-        for (p_rows, control) in per_participant {
-            rows.extend(p_rows);
-            controls.extend(control);
-        }
+    for (p_rows, control) in per_participant {
+        rows.extend(p_rows);
+        controls.extend(control);
     }
     if eyeorg_obs::enabled() {
-        // Row assembly is engine-independent (the parallel merge is
-        // order-pinned), so these totals are too.
+        // The merge is order-pinned, so these totals are
+        // thread-count-independent.
         let collected = rows.iter().filter(|r| r.response.is_some()).count() as u64;
         eyeorg_obs::metrics::CORE_RESPONSES_COLLECTED.add(collected);
         eyeorg_obs::metrics::CORE_RESPONSES_SKIPPED.add(rows.len() as u64 - collected);
@@ -373,21 +331,15 @@ impl ParticipantIndex {
 
 /// Sessions of one participant within a campaign, in presentation
 /// order, looked up through `index` (built over the same `rows`).
-pub(crate) fn sessions_of(
-    rows: &[TimelineRow],
+/// `session` reads one row's session, so timeline and A/B rows share
+/// this one lookup.
+pub(crate) fn sessions_of<R>(
+    rows: &[R],
     index: &ParticipantIndex,
     participant: usize,
+    session: impl Fn(&R) -> VideoSession,
 ) -> Vec<VideoSession> {
-    index.rows_of(participant).iter().map(|&r| rows[r].session).collect()
-}
-
-/// Same for A/B rows.
-pub(crate) fn ab_sessions_of(
-    rows: &[AbRow],
-    index: &ParticipantIndex,
-    participant: usize,
-) -> Vec<VideoSession> {
-    index.rows_of(participant).iter().map(|&r| rows[r].session).collect()
+    index.rows_of(participant).iter().map(|&r| session(&rows[r])).collect()
 }
 
 /// Convenience: when a timeline row carries a response, its submitted

@@ -293,7 +293,7 @@ pub fn filter_timeline(
     let index = ParticipantIndex::new(n, campaign.rows.iter().map(|r| r.participant));
     run_pipeline(
         n,
-        |pi| crate::campaign::sessions_of(&campaign.rows, &index, pi),
+        |pi| crate::campaign::sessions_of(&campaign.rows, &index, pi, |r| r.session),
         &campaign.controls,
         filters,
     )
@@ -308,7 +308,7 @@ pub fn filter_ab(
     let index = ParticipantIndex::new(n, campaign.rows.iter().map(|r| r.participant));
     run_pipeline(
         n,
-        |pi| crate::campaign::ab_sessions_of(&campaign.rows, &index, pi),
+        |pi| crate::campaign::sessions_of(&campaign.rows, &index, pi, |r| r.session),
         &campaign.controls,
         filters,
     )

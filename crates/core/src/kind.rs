@@ -36,7 +36,7 @@ use eyeorg_crowd::{
 };
 use eyeorg_stats::rng::Rng;
 use eyeorg_stats::{par_map_range, Seed};
-use eyeorg_video::FrameTimeline;
+use eyeorg_video::EarliestSimilarTable;
 use serde::{Deserialize, Serialize};
 
 use crate::analysis::BehaviorPoint;
@@ -425,7 +425,7 @@ pub struct TlPlane {
     ctrl_label: String,
     profile: TimelineStimulusProfile,
     session: SessionProfile,
-    rewinds: Vec<usize>,
+    rewinds: EarliestSimilarTable,
 }
 
 impl CampaignKind for Timeline {
@@ -504,14 +504,12 @@ impl CampaignKind for Timeline {
     }
 
     fn new_plane(si: usize, st: &TimelineStimulus) -> TlPlane {
-        let mut tl = FrameTimeline::of(&st.video);
-        tl.precompute_rewinds();
         TlPlane {
             label: format!("tl-{si}"),
             ctrl_label: format!("ctrl-tl-{si}"),
             profile: TimelineStimulusProfile::of(&st.video),
             session: SessionProfile::of(&st.video, TestKind::Timeline),
-            rewinds: tl.rewind_table(),
+            rewinds: EarliestSimilarTable::of(&st.video),
         }
     }
 
@@ -624,7 +622,7 @@ impl CampaignKind for Timeline {
                         let plane = &ctx.planes[si];
                         let resp = timeline_response_seeded(
                             &plane.profile,
-                            &plane.rewinds,
+                            plane.rewinds.as_slice(),
                             p,
                             mseeds,
                             &plane.label,

@@ -183,7 +183,7 @@ mod tests {
     use crate::participant::PopulationProfile;
     use crate::perception::{timeline_control_passes_flat, timeline_response_flat, true_ready_time};
     use eyeorg_browser::{load_page, BrowserConfig};
-    use eyeorg_video::{FrameTimeline, Video};
+    use eyeorg_video::{EarliestSimilarTable, Video};
     use eyeorg_workload::{generate_site, SiteClass};
 
     fn video() -> Video {
@@ -197,9 +197,8 @@ mod tests {
     #[test]
     fn seeded_entry_points_match_originals() {
         let v = video();
-        let mut tl = FrameTimeline::of(&v);
-        tl.precompute_rewinds();
-        let rewinds = tl.rewind_table().to_vec();
+        let table = EarliestSimilarTable::of(&v);
+        let rewinds = table.as_slice();
         let t_profile = TimelineStimulusProfile::of(&v);
         let s_profile = SessionProfile::of(&v, TestKind::Timeline);
         let ab_profile = SessionProfile::of(&v, TestKind::Ab);
@@ -233,8 +232,8 @@ mod tests {
                         "bulk-seeded session {label} index {i}"
                     );
                     assert_eq!(
-                        timeline_response_seeded(&t_profile, &rewinds, &p, &seeds, label),
-                        timeline_response_flat(&t_profile, &rewinds, &p, label),
+                        timeline_response_seeded(&t_profile, rewinds, &p, &seeds, label),
+                        timeline_response_flat(&t_profile, rewinds, &p, label),
                         "response {label} index {i}"
                     );
                     assert_eq!(

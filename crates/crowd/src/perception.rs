@@ -12,9 +12,15 @@
 //! `UserPerceivedPLT` in the reproduction is therefore *generated* here
 //! and *measured back* by `eyeorg-core`'s pipeline; the gap between the
 //! two is precisely what Fig. 7 quantifies.
+//!
+//! The helper's suggestion is read from the video's
+//! [`EarliestSimilarTable`], passed in as a slice: every entry point
+//! (`timeline_response_shared`, `_flat`, and the fast path's `_seeded`)
+//! indexes the same table through one core, and [`timeline_response`]
+//! builds the table itself for one-off calls.
 
 use eyeorg_net::SimTime;
-use eyeorg_video::{FrameTimeline, Video};
+use eyeorg_video::{EarliestSimilarTable, Video};
 use eyeorg_stats::rng::Rng;
 
 use crate::participant::{Participant, ParticipantClass, Persona, ReadinessCriterion};
@@ -189,46 +195,25 @@ pub struct TimelineResponse {
 /// `video_label` identifies the video so that the same participant gives
 /// independent (but reproducible) answers across their six videos.
 ///
-/// Convenience wrapper that materialises the frame timeline per call;
-/// campaign-scale simulation should build one [`FrameTimeline`] per video
-/// and use [`timeline_response_cached`].
+/// Convenience wrapper that builds the video's rewind table per call;
+/// campaign-scale simulation builds one [`EarliestSimilarTable`] per
+/// video and uses [`timeline_response_shared`].
 pub fn timeline_response(
     video: &Video,
     participant: &Participant,
     video_label: &str,
 ) -> TimelineResponse {
-    let mut frames = FrameTimeline::of(video);
-    timeline_response_cached(video, &mut frames, participant, video_label)
+    let table = EarliestSimilarTable::of(video);
+    timeline_response_shared(video, table.as_slice(), participant, video_label)
 }
 
-/// [`timeline_response`] against a pre-materialised frame timeline.
-pub fn timeline_response_cached(
-    video: &Video,
-    frames: &mut FrameTimeline,
-    participant: &Participant,
-    video_label: &str,
-) -> TimelineResponse {
-    timeline_response_with(video, &mut |i| frames.rewind(i), participant, video_label)
-}
-
-/// [`timeline_response`] against a *shared* frame timeline — the form the
-/// parallel campaign engine uses, with one immutable [`FrameTimeline`]
-/// per stimulus (rewinds precomputed) serving every worker thread.
-/// Bit-identical to [`timeline_response_cached`] for the same inputs.
+/// [`timeline_response`] against the video's prebuilt rewind table —
+/// the form the materializing campaign engine uses, with one immutable
+/// table per stimulus serving every worker thread. `rewinds` must be
+/// the video's [`EarliestSimilarTable::as_slice`].
 pub fn timeline_response_shared(
     video: &Video,
-    frames: &FrameTimeline,
-    participant: &Participant,
-    video_label: &str,
-) -> TimelineResponse {
-    timeline_response_with(video, &mut |i| frames.rewind_at(i), participant, video_label)
-}
-
-/// Core of the timeline interaction, abstracted over how a rewind is
-/// looked up (memoising `&mut` path vs. shared precomputed path).
-fn timeline_response_with(
-    video: &Video,
-    rewind: &mut dyn FnMut(usize) -> usize,
+    rewinds: &[usize],
     participant: &Participant,
     video_label: &str,
 ) -> TimelineResponse {
@@ -239,20 +224,19 @@ fn timeline_response_with(
     timeline_response_core(
         &clock,
         &mut |criterion| (true_ready_time(video, criterion), first_visible_us(video)),
-        rewind,
+        rewinds,
         &participant.persona(),
         response_rng(participant.seed, video_label),
     )
 }
 
 /// [`timeline_response`] against fully precomputed per-stimulus
-/// constants and a flat rewind table — the batch engine's inner-loop
-/// entry point: no `Video`, no timeline, no allocation. Bit-identical
-/// to [`timeline_response_shared`] for matching inputs (both funnel
-/// into the same core).
+/// constants and the rewind table — the batch engine's inner-loop
+/// entry point: no `Video`, no allocation. Bit-identical to
+/// [`timeline_response_shared`] for matching inputs (both funnel into
+/// the same core).
 ///
-/// `rewinds[i]` must be the rewind suggestion for frame `i`
-/// (`FrameTimeline::rewind_table`).
+/// `rewinds` must be the video's [`EarliestSimilarTable::as_slice`].
 pub fn timeline_response_flat(
     profile: &TimelineStimulusProfile,
     rewinds: &[usize],
@@ -280,7 +264,7 @@ pub(crate) fn timeline_response_flat_with_rng(
     timeline_response_core(
         &profile.clock,
         &mut |criterion| (profile.ready.get(criterion), profile.first_visible_us),
-        &mut |i| rewinds[i],
+        rewinds,
         participant,
         rng,
     )
@@ -289,12 +273,14 @@ pub(crate) fn timeline_response_flat_with_rng(
 /// The single implementation behind every timeline-response entry point.
 /// `ready_of(criterion)` returns the true ready moment under `criterion`
 /// plus the first-visible floor in µs; it is only consulted on the
-/// coherent-participant branch. `rng` must be seeded from the
+/// coherent-participant branch. `rewinds` is the video's rewind table;
+/// every index into it comes from [`FrameClock::frame_index_at`], which
+/// clamps to the last frame. `rng` must be seeded from the
 /// participant's `"perception"` stream for the video's label.
 fn timeline_response_core(
     clock: &FrameClock,
     ready_of: &mut dyn FnMut(ReadinessCriterion) -> (SimTime, f64),
-    rewind: &mut dyn FnMut(usize) -> usize,
+    rewinds: &[usize],
     participant: &Persona,
     mut rng: Rng,
 ) -> TimelineResponse {
@@ -316,7 +302,7 @@ fn timeline_response_core(
         let slider_frame = clock.frame_index_at(t);
         let slider = clock.frame_time(slider_frame);
         // Blindly accepts whatever the helper proposes.
-        let helper_frame = rewind(slider_frame);
+        let helper_frame = rewinds[slider_frame];
         let helper = clock.frame_time(helper_frame);
         return TimelineResponse {
             perceived: t,
@@ -347,7 +333,7 @@ fn timeline_response_core(
     let slider_frame = clock.frame_index_at(SimTime::from_micros(slider_us as u64));
     let slider = clock.frame_time(slider_frame);
 
-    let helper_frame = rewind(slider_frame);
+    let helper_frame = rewinds[slider_frame];
     let helper = clock.frame_time(helper_frame);
 
     // Acceptance: participants accept the rewind when it does not
@@ -421,14 +407,12 @@ mod tests {
     #[test]
     fn flat_profile_path_matches_shared_path() {
         let v = video();
-        let mut tl = FrameTimeline::of(&v);
-        tl.precompute_rewinds();
-        let table = tl.rewind_table();
+        let table = EarliestSimilarTable::of(&v);
         let profile = TimelineStimulusProfile::of(&v);
         let pop = PopulationProfile::paid().generate(Seed(66), 150);
         for p in &pop {
-            let shared = timeline_response_shared(&v, &tl, p, "tl-3");
-            let flat = timeline_response_flat(&profile, &table, &p.persona(), "tl-3");
+            let shared = timeline_response_shared(&v, table.as_slice(), p, "tl-3");
+            let flat = timeline_response_flat(&profile, table.as_slice(), &p.persona(), "tl-3");
             assert_eq!(shared, flat, "class {:?}", p.class);
             assert_eq!(
                 timeline_control_passes(p, "tl-3"),

@@ -35,7 +35,7 @@ use eyeorg_browser::{load_page, BrowserConfig};
 use eyeorg_net::SimDuration;
 use eyeorg_stats::rng::Rng;
 use eyeorg_stats::Seed;
-use eyeorg_video::{FrameTimeline, Video};
+use eyeorg_video::{EarliestSimilarTable, Video};
 use eyeorg_workload::{generate_site, SiteClass};
 
 fn video(seed: u64) -> Video {
@@ -78,9 +78,8 @@ fn serve_all(
 #[test]
 fn isolated_values_match_full_serve() {
     let v = video(90);
-    let mut tl = FrameTimeline::of(&v);
-    tl.precompute_rewinds();
-    let rewinds = tl.rewind_table();
+    let table = EarliestSimilarTable::of(&v);
+    let rewinds = table.as_slice();
     let sprof = SessionProfile::of(&v, TestKind::Timeline);
     let tprof = TimelineStimulusProfile::of(&v);
     let labels: Vec<String> = (0..4).map(|si| format!("tl-{si}")).collect();
@@ -91,13 +90,13 @@ fn isolated_values_match_full_serve() {
             let p = pool.generate_persona(Seed(421), i);
             let seeds = ModelSeeds::of(p.seed);
             let (sessions, responses, control, total) =
-                serve_all(&p, &seeds, &sprof, &tprof, &rewinds, &labels);
+                serve_all(&p, &seeds, &sprof, &tprof, rewinds, &labels);
 
             // Each response with all sessions, the control, the other
             // responses and the time accounting elided.
             for (j, label) in labels.iter().enumerate() {
                 let lone =
-                    timeline_response_seeded(&tprof, &rewinds, &p, &seeds, label);
+                    timeline_response_seeded(&tprof, rewinds, &p, &seeds, label);
                 assert_eq!(
                     lone.submitted.as_secs_f64(),
                     responses[j],
@@ -130,7 +129,7 @@ fn isolated_values_match_full_serve() {
                 "ab-1",
             );
             let ab_ctrl = ab_control_seeded(ready, &p, &seeds, "ab-0");
-            let (sessions2, ..) = serve_all(&p, &seeds, &sprof, &tprof, &rewinds, &labels);
+            let (sessions2, ..) = serve_all(&p, &seeds, &sprof, &tprof, rewinds, &labels);
             assert_eq!(sessions2, sessions, "timeline replay after judging, participant {i}");
             assert_eq!(
                 judge_pair_seeded(

@@ -422,6 +422,44 @@ mod tests {
             }
             assert!(cal.is_empty());
         }
+        // Short interleavings with standalone peeks and pops of an
+        // empty queue: 256 cases of 1..600 ops, weighted 3:1:3:1 over
+        // near-future schedules (ties included), sparse far-tail
+        // schedules, pops, and peeks.
+        for case in 0u64..256 {
+            let seed = 0xE7E9_0000 + case;
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut cal: EventQueue<u64> = EventQueue::new();
+            let mut heap: HeapRef<u64> = HeapRef::new();
+            let mut now = 0u64;
+            let mut payload = 0u64;
+            for step in 0..rng.random_range(1..600) {
+                match rng.below(8) {
+                    op @ 0..=3 => {
+                        let dt = if op == 3 { rng.below(40_000_000) } else { rng.below(2_000) };
+                        let t = SimTime::from_micros(now + dt);
+                        cal.schedule(t, payload);
+                        heap.schedule(t, payload);
+                        payload += 1;
+                    }
+                    4..=6 => {
+                        let got = cal.pop();
+                        assert_eq!(got, heap.pop(), "seed={seed:#x} step={step}");
+                        if let Some((t, _)) = got {
+                            now = t.as_micros();
+                        }
+                    }
+                    _ => {
+                        assert_eq!(cal.peek_time(), heap.peek_time(), "seed={seed:#x} step={step}")
+                    }
+                }
+                assert_eq!(cal.len(), heap.payloads.len(), "seed={seed:#x} step={step}");
+            }
+            while let Some(expect) = heap.pop() {
+                assert_eq!(cal.pop(), Some(expect), "seed={seed:#x} drain");
+            }
+            assert!(cal.is_empty());
+        }
     }
 
     #[test]

@@ -1,20 +1,27 @@
-//! Property-based tests of the TCP state machines: byte conservation and
+//! Property tests of the TCP state machines: byte conservation and
 //! sender invariants under adversarial delivery orders.
-
-use proptest::prelude::*;
+//!
+//! Each property runs 256 randomized cases drawn from the workspace's
+//! own seeded RNG, so the suite is deterministic and needs no external
+//! crate. Every case has its own seed; a failing case prints it
+//! (`eyeorg_stats::rng::for_each_case`).
 
 use eyeorg_net::tcp::{TcpReceiver, TcpSender, MSS};
 use eyeorg_net::SimTime;
+use eyeorg_stats::rng::for_each_case;
 
-proptest! {
-    /// Whatever order segments arrive in (duplicates and overlaps
-    /// included), the receiver delivers each byte exactly once and ends
-    /// with the full prefix once all segments have been seen.
-    #[test]
-    fn receiver_conserves_bytes(
-        total_segments in 1usize..30,
-        order in prop::collection::vec(0usize..30, 1..90),
-    ) {
+/// Cases per property.
+const CASES: u64 = 256;
+
+/// Whatever order segments arrive in (duplicates and overlaps
+/// included), the receiver delivers each byte exactly once and ends
+/// with the full prefix once all segments have been seen.
+#[test]
+fn receiver_conserves_bytes() {
+    for_each_case(1, CASES, |rng| {
+        let total_segments = rng.random_range(1usize..30);
+        let order: Vec<usize> =
+            (0..rng.random_range(1usize..90)).map(|_| rng.random_range(0usize..30)).collect();
         let mut r = TcpReceiver::new();
         let mut delivered = 0u64;
         let mut seen = vec![false; total_segments];
@@ -24,22 +31,24 @@ proptest! {
             let start = i as u64 * MSS;
             let out = r.on_segment(start, start + MSS);
             delivered += out.newly_delivered;
-            prop_assert!(out.ack <= total_segments as u64 * MSS);
-            prop_assert_eq!(out.ack, r.delivered());
+            assert!(out.ack <= total_segments as u64 * MSS);
+            assert_eq!(out.ack, r.delivered());
         }
         // The chained iterator guarantees every segment arrived at least once.
-        prop_assert_eq!(delivered, total_segments as u64 * MSS);
-        prop_assert_eq!(r.buffered(), 0);
-    }
+        assert_eq!(delivered, total_segments as u64 * MSS);
+        assert_eq!(r.buffered(), 0);
+    });
+}
 
-    /// The sender never has more unacked fresh data than its window
-    /// allows, never sends beyond the app limit, and always terminates
-    /// when acks eventually cover everything.
-    #[test]
-    fn sender_window_invariants(
-        app_bytes in 1u64..400_000,
-        ack_chunks in prop::collection::vec(1u64..40, 1..200),
-    ) {
+/// The sender never has more unacked fresh data than its window
+/// allows, never sends beyond the app limit, and always terminates
+/// when acks eventually cover everything.
+#[test]
+fn sender_window_invariants() {
+    for_each_case(2, CASES, |rng| {
+        let app_bytes = rng.random_range(1u64..400_000);
+        let ack_chunks: Vec<u64> =
+            (0..rng.random_range(1usize..200)).map(|_| rng.random_range(1u64..40)).collect();
         let mut s = TcpSender::new();
         s.app_write(app_bytes);
         let mut now_us = 0u64;
@@ -48,13 +57,13 @@ proptest! {
         let mut guard = 0;
         while !s.all_acked() {
             guard += 1;
-            prop_assert!(guard < 10_000, "must terminate");
+            assert!(guard < 10_000, "must terminate");
             // Drain the window.
             while let Some(seg) = s.next_segment() {
-                prop_assert!(seg.end <= app_bytes, "never beyond app data");
-                prop_assert!(!seg.is_empty());
+                assert!(seg.end <= app_bytes, "never beyond app data");
+                assert!(!seg.is_empty());
                 s.mark_sent(seg, SimTime::from_micros(now_us));
-                prop_assert!(s.in_flight() <= s.cwnd_bytes() + MSS);
+                assert!(s.in_flight() <= s.cwnd_bytes() + MSS);
             }
             // Ack forward by an arbitrary chunk.
             let step = *chunk_iter.next().expect("cycle") * MSS;
@@ -62,6 +71,6 @@ proptest! {
             now_us += 10_000;
             s.on_ack(acked, SimTime::from_micros(now_us));
         }
-        prop_assert_eq!(acked, app_bytes);
-    }
+        assert_eq!(acked, app_bytes);
+    });
 }

@@ -1,4 +1,4 @@
-//! Deterministic parallel execution on `std::thread::scope`.
+//! Deterministic parallel execution on scoped threads.
 //!
 //! The campaign pipeline (capture fan-out, per-participant response
 //! generation, figure regeneration) is embarrassingly parallel *and*
@@ -27,8 +27,9 @@
 //! pays thread spawn + contention for zero speedup (the PR 1 bench
 //! showed 0.3–0.4× "speedups" exactly because of that).
 //!
-//! No external dependencies: plain `std::thread::scope` and
-//! `AtomicUsize`.
+//! No external dependencies: plain scoped threads and `AtomicUsize`.
+//! Every map here runs on the one worker loop in
+//! [`par_map_range_scratch`].
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -95,7 +96,7 @@ pub fn default_threads() -> usize {
 
 /// Upper bound honoured for `EYEORG_THREADS`: far beyond any machine
 /// this workload targets, but low enough that a stray `999999999` in the
-/// environment cannot ask `std::thread::scope` for a billion workers.
+/// environment cannot ask the scoped pool for a billion workers.
 pub const MAX_THREAD_OVERRIDE: usize = 512;
 
 /// Parse an `EYEORG_THREADS`-style value. `None` for anything that is
@@ -152,6 +153,7 @@ fn chunk_size(n: usize, pool: usize) -> usize {
 /// Map `f` over `0..n` on `threads` workers, returning results in index
 /// order. `f(i)` must depend only on `i` (and captured immutable state)
 /// — the usual shape is "derive the item's own seed from its index".
+/// This is [`par_map_range_scratch`] with a unit scratch.
 ///
 /// With an effective pool of 1 (requested, or clamped by the hardware)
 /// this is exactly `(0..n).map(f).collect()`.
@@ -160,54 +162,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let pool = effective_pool(threads).min(n);
-    if pool <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = chunk_size(n, pool);
-    let next = AtomicUsize::new(0);
-    let f = &f;
-    let mut per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..pool)
-            .map(|worker| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    let mut chaos_step = 0u64;
-                    loop {
-                        chaos_yield(worker, &mut chaos_step);
-                        // lint:allow(D3): relaxed chunk claiming only permutes which worker computes which index; results are merged back in index order below, so no claim order reaches any output
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(n) {
-                            chaos_yield(worker, &mut chaos_step);
-                            out.push((i, f(i)));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // lint:allow(D4): a panicking work item must propagate, not be swallowed into a partial result
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    // Merge by index. Each index appears exactly once across the
-    // buffers; within a buffer indices are increasing, so a bucket
-    // scatter restores the full order without sorting.
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for buf in per_worker.drain(..) {
-        for (i, r) in buf {
-            debug_assert!(slots[i].is_none(), "index {i} produced twice");
-            slots[i] = Some(r);
-        }
-    }
-    // lint:allow(D4): the chunked claim loop visits every index in 0..n exactly once, so every slot is filled
-    slots.into_iter().map(|s| s.expect("every index claimed")).collect()
+    par_map_range_scratch(n, threads, || (), |(), i| f(i))
 }
 
 /// [`par_map_range`] with per-worker scratch: each worker calls `make`
@@ -270,6 +225,9 @@ where
             .map(|h| h.join().expect("worker panicked"))
             .collect()
     });
+    // Merge by index. Each index appears exactly once across the
+    // buffers; within a buffer indices are increasing, so a bucket
+    // scatter restores the full order without sorting.
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     for buf in per_worker.drain(..) {
         for (i, r) in buf {
@@ -279,42 +237,6 @@ where
     }
     // lint:allow(D4): the chunked claim loop visits every index in 0..n exactly once, so every slot is filled
     slots.into_iter().map(|s| s.expect("every index claimed")).collect()
-}
-
-/// Map `f` over owned `items` on `threads` workers; `f` receives
-/// `(index, item)` and results come back in item order, byte-identical
-/// to the sequential run.
-///
-/// With an effective pool of 1 this is exactly
-/// `items.into_iter().enumerate().map(|(i, x)| f(i, x)).collect()`.
-pub fn par_map_indexed<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let pool = effective_pool(threads).min(items.len());
-    if pool <= 1 || items.len() <= 1 {
-        return items.into_iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    // Hand each item to exactly one worker by index. The items vector
-    // itself is never shared mutably: each cell is taken once by the
-    // worker that claimed its index.
-    let cells: Vec<std::sync::Mutex<Option<T>>> =
-        items.into_iter().map(|x| std::sync::Mutex::new(Some(x))).collect();
-    let cells_ref = &cells;
-    let f = &f;
-    par_map_range(cells_ref.len(), threads, move |i| {
-        let item = cells_ref[i]
-            .lock()
-            // A poisoned cell still holds a valid Option; panics in `f`
-            // propagate through the worker join, not through the lock.
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-            // lint:allow(D4): par_map_range hands each index to exactly one worker, so the cell is taken exactly once
-            .expect("each index claimed once");
-        f(i, item)
-    })
 }
 
 #[cfg(test)]
@@ -361,18 +283,9 @@ mod tests {
     }
 
     #[test]
-    fn indexed_map_preserves_order_and_items() {
-        let items: Vec<String> = (0..40).map(|i| format!("item-{i}")).collect();
-        let expected: Vec<String> = items.iter().enumerate().map(|(i, s)| format!("{i}:{s}")).collect();
-        let got = par_map_indexed(items, 4, |i, s| format!("{i}:{s}"));
-        assert_eq!(got, expected);
-    }
-
-    #[test]
     fn zero_and_one_items_work_at_any_thread_count() {
         assert_eq!(par_map_range(0, 8, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_range(1, 8, |i| i * 2), vec![0]);
-        assert_eq!(par_map_indexed(Vec::<u8>::new(), 8, |_, x| x), Vec::<u8>::new());
     }
 
     #[test]

@@ -284,9 +284,43 @@ impl Uniform for f32 {
     }
 }
 
+/// Seeded property-test driver: run `property` on `cases` cases, each
+/// with its own generator seeded from `stream` and the case index. If a
+/// case panics, its seed is printed to stderr, so the failure reproduces
+/// with [`Rng::seed_from_u64`] on that seed.
+pub fn for_each_case(stream: u64, cases: u64, mut property: impl FnMut(&mut Rng)) {
+    /// Prints the running case's seed when its property panics.
+    struct CaseSeed(u64);
+
+    impl Drop for CaseSeed {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("failing case seed: {:#x}", self.0);
+            }
+        }
+    }
+
+    for case in 0..cases {
+        let seed = crate::Seed(stream).derive_index("case", case).value();
+        let _report = CaseSeed(seed);
+        property(&mut Rng::seed_from_u64(seed));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn property_cases_are_reproducible_and_distinct() {
+        let mut first = Vec::new();
+        for_each_case(7, 16, |rng| first.push(rng.next_u64()));
+        let mut again = Vec::new();
+        for_each_case(7, 16, |rng| again.push(rng.next_u64()));
+        assert_eq!(first, again, "same stream, same cases");
+        let distinct: std::collections::BTreeSet<u64> = first.iter().copied().collect();
+        assert_eq!(distinct.len(), 16, "every case has its own seed");
+    }
 
     #[test]
     fn deterministic_given_seed() {

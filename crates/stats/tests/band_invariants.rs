@@ -1,7 +1,6 @@
 //! Property-style invariant tests for percentile-band selection.
 //!
-//! The external `proptest` crate cannot resolve offline (see the
-//! feature-gated `properties` test), so these drive the same invariants
+//! Like the toolkit-wide `properties` tests, these drive the invariants
 //! with the workspace's own seeded RNG: hundreds of randomized samples,
 //! fully deterministic, no external dependencies.
 

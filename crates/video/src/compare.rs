@@ -6,6 +6,12 @@
 //! rewind or keep their choice (Fig. 3a). As a control (§3.3), the
 //! platform occasionally proposes "a nearly-blank rewind frame" instead
 //! and checks the participant rejects it (Fig. 3b).
+//!
+//! The helper is one pure function per video, served one way:
+//! [`EarliestSimilarTable`] answers it for every frame at the paper's
+//! 1 % threshold, built once when the video is first served.
+//! [`earliest_similar_frame`] is the definitional render-and-diff scan
+//! the table is tested against.
 
 use crate::capture::Video;
 use crate::frame::Frame;
@@ -23,7 +29,7 @@ pub const SIMILARITY_THRESHOLD: f64 = 0.01;
 /// This is the *reference* implementation: it renders and diffs every
 /// frame up to `chosen` on each call, so a loop over all frames is
 /// quadratic in renders. Callers that query the same video repeatedly
-/// should build an [`EarliestSimilarTable`] once and index it.
+/// build an [`EarliestSimilarTable`] once and index it.
 pub fn earliest_similar_frame(video: &Video, chosen: usize, threshold: f64) -> usize {
     let target = video.frame(chosen);
     for i in 0..=chosen {
@@ -34,16 +40,18 @@ pub fn earliest_similar_frame(video: &Video, chosen: usize, threshold: f64) -> u
     chosen
 }
 
-/// The per-video earliest-similar-frame table: `suggest(chosen)` for
-/// every frame, precomputed in one pass over the materialised timeline.
+/// The per-video earliest-similar-frame table: the rewind helper's
+/// suggestion for every frame at the paper's 1 % threshold, built once
+/// when the video is first served and indexed by every response after.
 ///
-/// Building the table costs one timeline materialisation plus one
-/// delta-walk per frame (work proportional to frames × recorded cell
-/// writes), after which each query is a bounds-checked index — against
-/// [`earliest_similar_frame`]'s full render-and-diff rescan per call.
-/// Every entry equals the naive scan exactly: the walk maintains the
-/// same integer differing-cell count `diff_fraction` computes (pinned
-/// by the `table_matches_naive_scan` regression test).
+/// This is the only rewind state the platform keeps. Building it costs
+/// one timeline materialisation plus one delta walk per frame (work
+/// proportional to frames × recorded cell writes), after which each
+/// query is a bounds-checked index — against [`rewind_suggestion`]'s
+/// full render-and-diff rescan per call. Every entry equals the naive
+/// scan exactly: the walk maintains the same integer differing-cell
+/// count `diff_fraction` computes (pinned by the
+/// `table_matches_naive_scan` regression test).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EarliestSimilarTable {
     table: Vec<usize>,
@@ -52,17 +60,7 @@ pub struct EarliestSimilarTable {
 impl EarliestSimilarTable {
     /// Build the table at the paper's 1 % threshold.
     pub fn of(video: &Video) -> EarliestSimilarTable {
-        EarliestSimilarTable::with_threshold(video, SIMILARITY_THRESHOLD)
-    }
-
-    /// Build the table at an arbitrary threshold.
-    pub fn with_threshold(video: &Video, threshold: f64) -> EarliestSimilarTable {
-        let tl = FrameTimeline::of(video);
-        EarliestSimilarTable {
-            table: (0..tl.len())
-                .map(|chosen| tl.compute_rewind_threshold(chosen, threshold))
-                .collect(),
-        }
+        EarliestSimilarTable { table: FrameTimeline::of(video).rewinds(SIMILARITY_THRESHOLD) }
     }
 
     /// Number of frames covered.
@@ -76,9 +74,15 @@ impl EarliestSimilarTable {
     }
 
     /// The earliest similar frame for `chosen` (clamped to the last
-    /// frame, like the rewind helpers).
+    /// frame).
     pub fn suggest(&self, chosen: usize) -> usize {
         self.table[chosen.min(self.table.len().saturating_sub(1))]
+    }
+
+    /// The whole table, `[chosen] -> earliest similar frame`: what the
+    /// response model indexes on its per-response path.
+    pub fn as_slice(&self) -> &[usize] {
+        &self.table
     }
 }
 
@@ -161,22 +165,40 @@ mod tests {
 
     #[test]
     fn table_matches_naive_scan() {
-        // The regression pin: the precomputed table must equal the
-        // reference render-and-diff scan at every frame, for the paper
-        // threshold and for looser/stricter ones.
-        let v = video();
-        for threshold in [0.0, SIMILARITY_THRESHOLD, 0.10] {
-            let table = EarliestSimilarTable::with_threshold(&v, threshold);
+        // The regression pin: the table must equal the reference
+        // render-and-diff scan at every frame of every test video. The
+        // public table is the paper threshold; the looser/stricter sweep
+        // reaches the same builder directly.
+        let capture = |site, load_seed, secs| {
+            let trace = load_page(&site, &BrowserConfig::new(), Seed(load_seed));
+            Video::capture(trace, 10, SimDuration::from_secs(secs))
+        };
+        let videos = [
+            video(),
+            capture(generate_site(Seed(60), 2, SiteClass::Blog), 61, 3),
+            capture(generate_site(Seed(30), 0, SiteClass::News), 30, 5),
+        ];
+        for v in &videos {
+            let table = EarliestSimilarTable::of(v);
             assert_eq!(table.len(), v.frame_count());
+            assert_eq!(table.as_slice().len(), v.frame_count());
             for chosen in 0..v.frame_count() {
-                assert_eq!(
-                    table.suggest(chosen),
-                    earliest_similar_frame(&v, chosen, threshold),
-                    "chosen {chosen} threshold {threshold}"
-                );
+                assert_eq!(table.suggest(chosen), rewind_suggestion(v, chosen), "chosen {chosen}");
+                assert_eq!(table.as_slice()[chosen], table.suggest(chosen));
             }
-            // Out-of-range queries clamp like the rewind helpers.
+            // Out-of-range queries clamp to the final frame.
             assert_eq!(table.suggest(usize::MAX), table.suggest(v.frame_count() - 1));
+            let timeline = FrameTimeline::of(v);
+            for threshold in [0.0, SIMILARITY_THRESHOLD, 0.10] {
+                let rewinds = timeline.rewinds(threshold);
+                for (chosen, &r) in rewinds.iter().enumerate() {
+                    assert_eq!(
+                        r,
+                        earliest_similar_frame(v, chosen, threshold),
+                        "chosen {chosen} threshold {threshold}"
+                    );
+                }
+            }
         }
     }
 

@@ -16,12 +16,13 @@
 //! * [`webpeg`] — repeat-5-keep-median capture orchestration.
 //! * [`encode`] — an honest delta codec whose byte sizes feed the video
 //!   delivery model.
-//! * [`compare`] — the 1 % rewind-frame helper and blank control frames
-//!   (Fig. 3).
+//! * [`compare`] — the 1 % rewind-frame helper, its per-video
+//!   [`EarliestSimilarTable`] (the one rewind state campaign-scale
+//!   response simulation indexes), and blank control frames (Fig. 3).
 //! * [`splice`] — side-by-side A/B splicing with artificial-delay
 //!   controls.
-//! * [`timeline`] — materialised frame sequences with memoised rewind
-//!   lookups (what campaign-scale response simulation uses).
+//! * `timeline` (crate-private) — materialised frame sequences with
+//!   per-interval cell deltas, the one-pass builder behind the table.
 //! * [`player`] — participant-side preload/playback (video load times
 //!   drive the engagement effects of Fig. 5).
 
@@ -35,7 +36,7 @@ pub mod encode;
 pub mod frame;
 pub mod player;
 pub mod splice;
-pub mod timeline;
+mod timeline;
 pub mod webpeg;
 
 pub use bitplane::BitGrid;
@@ -48,7 +49,6 @@ pub use encode::{encode, EncodedVideo};
 pub use frame::Frame;
 pub use player::{preload_time, PlaybackResult, PlaybackSim};
 pub use splice::{control_splice, AbOrder, SplicedVideo};
-pub use timeline::FrameTimeline;
 pub use webpeg::{
     capture_all, capture_median, shared_capture_cache, CaptureCache, CaptureConfig,
 };

@@ -1,31 +1,31 @@
-//! Materialised frame timelines with memoised rewind lookups.
+//! Materialised frame timelines: the builder behind the rewind table.
 //!
 //! A campaign serves each video to dozens of participants, and every
 //! timeline response consults the rewind helper, which compares frames
 //! pairwise. Rendering each frame from the paint stream on every lookup
-//! would make campaigns quadratic in practice; [`FrameTimeline`]
+//! would make campaigns quadratic in practice, so
+//! [`EarliestSimilarTable::of`](crate::EarliestSimilarTable::of)
 //! materialises the frame sequence once per video (incrementally — total
-//! work proportional to painted area, not frames × paints) and memoises
-//! rewind queries, so a whole campaign touches each distinct scan at most
-//! once.
-
-use std::collections::BTreeMap;
+//! work proportional to painted area, not frames × paints), answers the
+//! helper for every frame in one pass over the recorded deltas, and
+//! keeps only the answers. This module is that pass; nothing outside the
+//! crate sees a timeline.
 
 use eyeorg_net::SimTime;
 
 use crate::capture::{paint_salt, Video};
-use crate::compare::SIMILARITY_THRESHOLD;
 use crate::frame::{appearance, Frame};
 
-/// All frames of a capture, materialised, plus memoised helper queries.
+/// All frames of a capture, materialised, plus the cell writes between
+/// them.
 ///
 /// Frames are copy-on-write ([`Frame`] shares cell buffers via `Arc`),
 /// so intervals without paints cost a pointer clone, and the recorded
 /// per-interval *deltas* — each cell write as `(index, old, new)` — let
 /// rewind scans maintain a running differing-cell count instead of
-/// re-diffing full grids (see [`FrameTimeline::of`]).
-#[derive(Debug, Clone)]
-pub struct FrameTimeline {
+/// re-diffing full grids (see [`FrameTimeline::earliest_similar`]).
+#[derive(Debug)]
+pub(crate) struct FrameTimeline {
     frames: Vec<Frame>,
     /// `deltas[i]` is the sequence of cell writes transforming frame
     /// `i - 1` into frame `i` (`deltas[0]`: blank into frame 0). Writes
@@ -33,14 +33,13 @@ pub struct FrameTimeline {
     /// interval telescopes to the exact change in "cells differing from
     /// `t`" across that interval.
     deltas: Vec<Vec<(u32, u8, u8)>>,
-    rewind_memo: BTreeMap<usize, usize>,
 }
 
 impl FrameTimeline {
     /// Materialise every frame of `video` by applying paints
     /// incrementally between frame instants. Total work is proportional
     /// to painted area (cells actually written), not frames × grid.
-    pub fn of(video: &Video) -> FrameTimeline {
+    pub(crate) fn of(video: &Video) -> FrameTimeline {
         let n = video.frame_count();
         let trace = video.trace();
         let probe = video.render_at(SimTime::ZERO);
@@ -70,87 +69,12 @@ impl FrameTimeline {
             frames.push(cur.clone());
             deltas.push(interval);
         }
-        FrameTimeline { frames, deltas, rewind_memo: BTreeMap::new() }
+        FrameTimeline { frames, deltas }
     }
 
-    /// Number of frames.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether the timeline is empty (never true for a real capture).
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Frame `i`.
-    ///
-    /// # Panics
-    /// Panics out of range.
-    pub fn frame(&self, i: usize) -> &Frame {
-        &self.frames[i]
-    }
-
-    /// Earliest frame within [`SIMILARITY_THRESHOLD`] of frame `chosen`
-    /// (the rewind helper), memoised per chosen index.
-    pub fn rewind(&mut self, chosen: usize) -> usize {
-        let chosen = chosen.min(self.frames.len().saturating_sub(1));
-        if let Some(&r) = self.rewind_memo.get(&chosen) {
-            return r;
-        }
-        let result = self.compute_rewind(chosen);
-        self.rewind_memo.insert(chosen, result);
-        result
-    }
-
-    /// [`rewind`](Self::rewind) through a shared reference: answers from
-    /// the memo when present, otherwise recomputes without storing (the
-    /// scan is pure, so the answer is identical either way). Combine with
-    /// [`precompute_rewinds`](Self::precompute_rewinds) to serve many
-    /// concurrent readers with memo-hit cost.
-    pub fn rewind_at(&self, chosen: usize) -> usize {
-        let chosen = chosen.min(self.frames.len().saturating_sub(1));
-        if let Some(&r) = self.rewind_memo.get(&chosen) {
-            return r;
-        }
-        self.compute_rewind(chosen)
-    }
-
-    /// Fill the rewind memo for every frame, so subsequent
-    /// [`rewind_at`](Self::rewind_at) calls are pure lookups. The scans
-    /// for distinct chosen indices are independent, so this is where a
-    /// campaign pays the whole per-video rewind cost up front — once —
-    /// before fanning participants out across threads.
-    pub fn precompute_rewinds(&mut self) {
-        for chosen in 0..self.frames.len() {
-            if !self.rewind_memo.contains_key(&chosen) {
-                let r = self.compute_rewind(chosen);
-                self.rewind_memo.insert(chosen, r);
-            }
-        }
-    }
-
-    /// The whole rewind memo as a flat `table[chosen] -> rewind` vector
-    /// (answers from the memo when present, recomputed otherwise). The
-    /// batch campaign engine carries this table instead of the timeline:
-    /// a rewind lookup becomes one bounds-checked index, with no
-    /// `BTreeMap` walk on the per-response path.
-    pub fn rewind_table(&self) -> Vec<usize> {
-        (0..self.frames.len()).map(|chosen| self.rewind_at(chosen)).collect()
-    }
-
-    /// [`precompute_rewinds`](Self::precompute_rewinds) with the scans
-    /// spread over `threads` workers (`0` = automatic). Entries already
-    /// memoised are kept; the table is identical to the sequential fill
-    /// for every thread count.
-    pub fn precompute_rewinds_parallel(&mut self, threads: usize) {
-        let threads = eyeorg_stats::resolve_threads(threads);
-        let computed = eyeorg_stats::par_map_range(self.frames.len(), threads, |chosen| {
-            self.rewind_at(chosen)
-        });
-        for (chosen, r) in computed.into_iter().enumerate() {
-            self.rewind_memo.entry(chosen).or_insert(r);
-        }
+    /// The earliest similar frame for every frame, in frame order.
+    pub(crate) fn rewinds(&self, threshold: f64) -> Vec<usize> {
+        (0..self.frames.len()).map(|chosen| self.earliest_similar(chosen, threshold)).collect()
     }
 
     /// The rewind scan, incrementally: the reference semantics are "the
@@ -162,14 +86,7 @@ impl FrameTimeline {
     /// write — and keep the earliest qualifying index. The counts are
     /// integers, so `count / len` is bit-identical to what
     /// `diff_fraction` computes on the full grids.
-    fn compute_rewind(&self, chosen: usize) -> usize {
-        self.compute_rewind_threshold(chosen, SIMILARITY_THRESHOLD)
-    }
-
-    /// [`compute_rewind`](Self::compute_rewind) at an arbitrary
-    /// similarity threshold (`compare::EarliestSimilarTable` builds its
-    /// per-video tables through this).
-    pub(crate) fn compute_rewind_threshold(&self, chosen: usize, threshold: f64) -> usize {
+    fn earliest_similar(&self, chosen: usize, threshold: f64) -> usize {
         let target = self.frames[chosen].cells();
         let len = target.len() as f64;
         let mut differing: i64 = 0; // frame `chosen` vs itself
@@ -194,7 +111,7 @@ impl FrameTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::rewind_suggestion;
+    use crate::compare::{rewind_suggestion, EarliestSimilarTable};
     use eyeorg_browser::{load_page, BrowserConfig};
     use eyeorg_net::SimDuration;
     use eyeorg_stats::Seed;
@@ -210,61 +127,22 @@ mod tests {
     fn materialised_frames_match_lazy_rendering() {
         let v = video();
         let tl = FrameTimeline::of(&v);
-        assert_eq!(tl.len(), v.frame_count());
+        assert_eq!(tl.frames.len(), v.frame_count());
+        assert_eq!(tl.deltas.len(), v.frame_count());
         for i in [0, 1, v.frame_count() / 3, v.frame_count() - 1] {
-            assert_eq!(*tl.frame(i), v.frame(i), "frame {i}");
+            assert_eq!(tl.frames[i], v.frame(i), "frame {i}");
         }
     }
 
     #[test]
     fn rewind_matches_reference_implementation() {
         let v = video();
-        let mut tl = FrameTimeline::of(&v);
-        for chosen in [0, 3, v.frame_count() / 2, v.frame_count() - 1] {
-            assert_eq!(tl.rewind(chosen), rewind_suggestion(&v, chosen), "chosen {chosen}");
-        }
-    }
-
-    #[test]
-    fn shared_lookup_matches_memoising_path() {
-        let v = video();
-        let mut memoising = FrameTimeline::of(&v);
-        let shared = FrameTimeline::of(&v);
-        let mut precomputed = FrameTimeline::of(&v);
-        precomputed.precompute_rewinds();
-        let mut par = FrameTimeline::of(&v);
-        par.precompute_rewinds_parallel(4);
+        let table = EarliestSimilarTable::of(&v);
+        assert_eq!(table.len(), v.frame_count());
         for chosen in 0..v.frame_count() {
-            let reference = memoising.rewind(chosen);
-            assert_eq!(shared.rewind_at(chosen), reference, "cold &self lookup, frame {chosen}");
-            assert_eq!(precomputed.rewind_at(chosen), reference, "precomputed, frame {chosen}");
-            assert_eq!(par.rewind_at(chosen), reference, "parallel precompute, frame {chosen}");
+            assert_eq!(table.suggest(chosen), rewind_suggestion(&v, chosen), "chosen {chosen}");
         }
-    }
-
-    #[test]
-    fn rewind_table_matches_per_frame_lookups() {
-        let v = video();
-        let mut tl = FrameTimeline::of(&v);
-        tl.precompute_rewinds();
-        let table = tl.rewind_table();
-        assert_eq!(table.len(), tl.len());
-        for (chosen, &entry) in table.iter().enumerate() {
-            assert_eq!(entry, tl.rewind_at(chosen), "frame {chosen}");
-        }
-        // Cold (un-memoised) tables answer identically.
-        assert_eq!(FrameTimeline::of(&v).rewind_table(), table);
-    }
-
-    #[test]
-    fn rewind_memoised_and_clamped() {
-        let v = video();
-        let mut tl = FrameTimeline::of(&v);
-        let last = tl.len() - 1;
-        let a = tl.rewind(last);
-        let b = tl.rewind(last); // memo hit
-        assert_eq!(a, b);
         // Out-of-range chosen clamps to the final frame.
-        assert_eq!(tl.rewind(usize::MAX), a);
+        assert_eq!(table.suggest(usize::MAX), table.suggest(v.frame_count() - 1));
     }
 }

@@ -11,6 +11,26 @@ cd "$(dirname "$0")/.."
 trap 'rm -f results/.RUN_fp_* results/.SCALE_fp_* results/.ADAPT_fp_* \
     results/.CKPT_fp_* results/.ckpt_w*.jsonl' EXIT
 
+# Thread-sweep gate: run one eyeorg-bench binary at EYEORG_THREADS=1,
+# =2 and the hardware default, each writing its fingerprints to
+# results/.<TAG>_fp_{1,2,auto}, then require the 1-thread file to match
+# the other two byte for byte.
+# Usage: thread_sweep TAG BIN "AUTO_ONLY_ARGS" ARGS...
+thread_sweep() {
+    local tag=$1 bin=$2 auto_args=$3
+    shift 3
+    local fp="results/.${tag}_fp"
+    EYEORG_THREADS=1 cargo run -q --release -p eyeorg-bench --bin "$bin" -- \
+        "$@" --fingerprint-out "${fp}_1"
+    EYEORG_THREADS=2 cargo run -q --release -p eyeorg-bench --bin "$bin" -- \
+        "$@" --fingerprint-out "${fp}_2"
+    # shellcheck disable=SC2086 # auto_args is a word list
+    cargo run -q --release -p eyeorg-bench --bin "$bin" -- \
+        "$@" --fingerprint-out "${fp}_auto" $auto_args
+    cmp "${fp}_1" "${fp}_2"
+    cmp "${fp}_1" "${fp}_auto"
+}
+
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
@@ -41,14 +61,7 @@ cargo run -q --release -p eyeorg-bench --bin perf_hotpath -- --smoke
 # the run report must be byte-identical at 1 thread, 2 threads, and the
 # hardware default. The canonical results/RUN_report.json comes from the
 # final (auto-threaded) run.
-EYEORG_THREADS=1 cargo run -q --release -p eyeorg-bench --bin run_report -- \
-    --out results/RUN_report.json --fingerprint-out results/.RUN_fp_1
-EYEORG_THREADS=2 cargo run -q --release -p eyeorg-bench --bin run_report -- \
-    --out results/RUN_report.json --fingerprint-out results/.RUN_fp_2
-cargo run -q --release -p eyeorg-bench --bin run_report -- \
-    --out results/RUN_report.json --fingerprint-out results/.RUN_fp_auto
-cmp results/.RUN_fp_1 results/.RUN_fp_2
-cmp results/.RUN_fp_1 results/.RUN_fp_auto
+thread_sweep RUN run_report "" --out results/RUN_report.json
 # Campaign-engine divergence gate: the smoke run exits non-zero when the
 # sharded engine (any shard size x thread knob) produces a digest or
 # counter fingerprint that differs from the materializing engine, and
@@ -56,14 +69,7 @@ cmp results/.RUN_fp_1 results/.RUN_fp_auto
 # byte-identical at 1 thread, 2 threads, and the hardware default. (The
 # full 1M-participant measurement is `perf_scale` with no flags; it
 # writes results/BENCH_scale.json.)
-EYEORG_THREADS=1 cargo run -q --release -p eyeorg-bench --bin perf_scale -- \
-    --smoke --fingerprint-out results/.SCALE_fp_1
-EYEORG_THREADS=2 cargo run -q --release -p eyeorg-bench --bin perf_scale -- \
-    --smoke --fingerprint-out results/.SCALE_fp_2
-cargo run -q --release -p eyeorg-bench --bin perf_scale -- \
-    --smoke --fingerprint-out results/.SCALE_fp_auto
-cmp results/.SCALE_fp_1 results/.SCALE_fp_2
-cmp results/.SCALE_fp_1 results/.SCALE_fp_auto
+thread_sweep SCALE perf_scale "" --smoke
 # Behavioural-model fast-path gate (DESIGN.md §3k): the smoke run exits
 # non-zero when the demand-driven model path (trait cursors, hoisted
 # seed parents, bulk-seeded sessions, draw-elided responses) diverges
@@ -82,14 +88,7 @@ cargo run -q --release -p eyeorg-bench --bin perf_model -- --smoke
 # campaign and exits non-zero unless the adaptive run simulates >= 3x
 # fewer participants with every UPLT percentile inside the declared
 # tolerance (writes results/BENCH_adaptive.json).
-EYEORG_THREADS=1 cargo run -q --release -p eyeorg-bench --bin perf_adaptive -- \
-    --smoke --fingerprint-out results/.ADAPT_fp_1
-EYEORG_THREADS=2 cargo run -q --release -p eyeorg-bench --bin perf_adaptive -- \
-    --smoke --fingerprint-out results/.ADAPT_fp_2
-cargo run -q --release -p eyeorg-bench --bin perf_adaptive -- \
-    --smoke --fingerprint-out results/.ADAPT_fp_auto
-cmp results/.ADAPT_fp_1 results/.ADAPT_fp_2
-cmp results/.ADAPT_fp_1 results/.ADAPT_fp_auto
+thread_sweep ADAPT perf_adaptive "" --smoke
 cargo run -q --release -p eyeorg-bench --bin perf_adaptive
 # Checkpoint/resume gate (DESIGN.md §3i): the smoke run exits non-zero
 # when an interrupt → save → load → resume run (plain or adaptive, A/B
@@ -98,14 +97,7 @@ cargo run -q --release -p eyeorg-bench --bin perf_adaptive
 # final line differs from the end-of-run digest read-out. Fingerprints
 # must be byte-identical at 1 thread, 2 threads, and the hardware
 # default; results/LIVE_smoke.jsonl is the live-analytics artifact.
-EYEORG_THREADS=1 cargo run -q --release -p eyeorg-bench --bin merge_digests -- \
-    --smoke --fingerprint-out results/.CKPT_fp_1
-EYEORG_THREADS=2 cargo run -q --release -p eyeorg-bench --bin merge_digests -- \
-    --smoke --fingerprint-out results/.CKPT_fp_2
-cargo run -q --release -p eyeorg-bench --bin merge_digests -- \
-    --smoke --fingerprint-out results/.CKPT_fp_auto --live-out results/LIVE_smoke.jsonl
-cmp results/.CKPT_fp_1 results/.CKPT_fp_2
-cmp results/.CKPT_fp_1 results/.CKPT_fp_auto
+thread_sweep CKPT merge_digests "--live-out results/LIVE_smoke.jsonl" --smoke
 # Multi-process split/merge gate: three real child processes each run a
 # disjoint slice of the same campaign — at different thread counts —
 # and write checkpoint files; merging them
