@@ -14,8 +14,9 @@ use eyeorg_net::sim::{ConnId, ConnStats, NetEvent, NetSim};
 use eyeorg_net::{ConnLog, SimTime};
 use eyeorg_stats::Seed;
 
-/// Everything the application can observe from one scenario run.
-type Observed = (Vec<(SimTime, NetEvent)>, Vec<ConnStats>, Vec<Option<ConnLog>>);
+/// Everything the application can observe from one scenario run, plus
+/// the simulator's logical event count.
+type Observed = (Vec<(SimTime, NetEvent)>, Vec<ConnStats>, Vec<Option<ConnLog>>, u64);
 
 /// One simulated "page": a handful of connections fetching a mix of
 /// object sizes, with follow-up requests issued as responses complete.
@@ -63,10 +64,18 @@ fn run_scenario(
     }
     let stats = ids.iter().map(|&c| sim.conn_stats(c)).collect();
     let logs = ids.iter().map(|&c| sim.take_log(c)).collect();
-    (trace, stats, logs)
+    (trace, stats, logs, sim.events_processed())
 }
 
-fn assert_equivalent(profile: NetworkProfile, seed: Seed, conns: usize, objects: &[u64], tag: &str) {
+/// Run a scenario on both paths, assert their observable output is
+/// identical, and return the `(batched, reference)` event counts.
+fn assert_equivalent(
+    profile: NetworkProfile,
+    seed: Seed,
+    conns: usize,
+    objects: &[u64],
+    tag: &str,
+) -> (u64, u64) {
     let reference = run_scenario(profile.clone(), seed, false, conns, objects);
     let batched = run_scenario(profile, seed, true, conns, objects);
     assert_eq!(
@@ -87,6 +96,7 @@ fn assert_equivalent(profile: NetworkProfile, seed: Seed, conns: usize, objects:
             "{tag}: qlog for conn {i} diverges"
         );
     }
+    (batched.3, reference.3)
 }
 
 /// Object mix shaped like a page: many smalls, a few mediums, one large.
@@ -203,4 +213,65 @@ fn batching_reduces_event_count() {
         batched < reference,
         "batching should shrink event count: {batched} vs {reference}"
     );
+}
+
+/// The loss model × preset matrix: every WebPageTest-style preset under
+/// its own loss model, under no loss, under 5 % Bernoulli loss, and
+/// under bursty Gilbert–Elliott loss.
+fn loss_preset_matrix() -> Vec<(String, NetworkProfile)> {
+    let losses = [
+        ("own", None),
+        ("none", Some(LossModel::None)),
+        ("bern5", Some(LossModel::Bernoulli { p: 0.05 })),
+        (
+            "ge",
+            Some(LossModel::GilbertElliott {
+                p_good_to_bad: 0.02,
+                p_bad_to_good: 0.3,
+                loss_good: 0.0,
+                loss_bad: 0.5,
+            }),
+        ),
+    ];
+    let mut out = Vec::new();
+    for (pi, preset) in NetworkProfile::presets().into_iter().enumerate() {
+        for (tag, loss) in &losses {
+            let loss = loss.unwrap_or(preset.loss);
+            out.push((format!("preset#{pi}/{tag}"), NetworkProfile { loss, ..preset.clone() }));
+        }
+    }
+    out
+}
+
+/// `NetSim::events_processed()` for the batched and the per-segment
+/// reference path, per cell of the loss model × preset matrix (seed
+/// 700 + cell index, 4 connections, the page object mix). The counter
+/// is a logical event count: it must not move when the simulator changes
+/// how it schedules internal events, only when the simulated behaviour
+/// changes.
+const PINNED_EVENT_COUNTS: &[(u64, u64)] = &[
+    // preset#0: own loss, none, 5 % Bernoulli, Gilbert–Elliott
+    (780, 882), (780, 882), (848, 894), (857, 903),
+    // preset#1: own loss, none, 5 % Bernoulli, Gilbert–Elliott
+    (780, 882), (780, 882), (855, 889), (849, 889),
+    // preset#2: own loss, none, 5 % Bernoulli, Gilbert–Elliott
+    (780, 882), (780, 882), (823, 885), (825, 883),
+    // preset#3: own loss, none, 5 % Bernoulli, Gilbert–Elliott
+    (885, 889), (885, 889), (880, 888), (886, 890),
+    // preset#4: own loss, none, 5 % Bernoulli, Gilbert–Elliott
+    (796, 882), (796, 882), (870, 904), (871, 887),
+    // preset#5: own loss, none, 5 % Bernoulli, Gilbert–Elliott
+    (1032, 1032), (1032, 1032), (887, 887), (883, 883),
+];
+
+#[test]
+fn event_counts_are_pinned_across_loss_models_and_presets() {
+    let got: Vec<(u64, u64)> = loss_preset_matrix()
+        .into_iter()
+        .enumerate()
+        .map(|(i, (tag, profile))| {
+            assert_equivalent(profile, Seed(700 + i as u64), 4, PAGE_OBJECTS, &tag)
+        })
+        .collect();
+    assert_eq!(got, PINNED_EVENT_COUNTS, "logical event counts moved");
 }
