@@ -24,7 +24,7 @@ use eyeorg_net::{ConnId, NetEvent, NetSim, NetworkProfile, SimTime, TlsMode};
 use eyeorg_stats::Seed;
 
 use crate::h1::{H1Conn, H1Origin, QueuedRequest};
-use crate::h2::{ChunkKind, ChunkMap, H2Scheduler, H2SendStream, FRAME_OVERHEAD};
+use crate::h2::{ChunkKind, ChunkMap, Delivery, H2Scheduler, H2SendStream, FRAME_OVERHEAD};
 use crate::hpack::HpackContext;
 use crate::request::{FetchEvent, OriginId, Request, RequestId, RequestTiming};
 
@@ -80,9 +80,9 @@ impl HttpConfig {
 struct Rec {
     req: Request,
     timing: RequestTiming,
-    /// `Some(parent)` when the server pushes this resource alongside the
-    /// parent's response instead of waiting for a client request.
-    pushed_by: Option<RequestId>,
+    /// Resources the server pushes alongside this response instead of
+    /// waiting for client requests, in submission order.
+    pushed: Vec<RequestId>,
     /// Index of the serving connection within the origin's H1 pool.
     h1_conn: Option<usize>,
     /// On-wire (HPACK-compressed) response header size, fixed when the
@@ -136,10 +136,14 @@ pub struct FetchEngine {
     recs: Vec<Rec>,
     origins: BTreeMap<OriginId, OriginState>,
     origin_protocols: BTreeMap<OriginId, Protocol>,
-    conn_map: BTreeMap<ConnId, OriginId>,
+    /// The origin of each connection, indexed by `ConnId` (the simulator
+    /// numbers connections densely in opening order).
+    conn_origin: Vec<OriginId>,
     timers: EventQueue<TimerEv>,
     out: VecDeque<(SimTime, FetchEvent)>,
     uplink_wire_bytes: u64,
+    /// Scratch buffer for HTTP/2 delivery attribution.
+    deliveries: Vec<Delivery>,
 }
 
 impl FetchEngine {
@@ -151,10 +155,11 @@ impl FetchEngine {
             recs: Vec::new(),
             origins: BTreeMap::new(),
             origin_protocols: BTreeMap::new(),
-            conn_map: BTreeMap::new(),
+            conn_origin: Vec::new(),
             timers: EventQueue::new(),
             out: VecDeque::new(),
             uplink_wire_bytes: 0,
+            deliveries: Vec::new(),
         }
     }
 
@@ -188,7 +193,7 @@ impl FetchEngine {
         self.recs.push(Rec {
             req,
             timing: RequestTiming { submitted: Some(at), ..RequestTiming::default() },
-            pushed_by: None,
+            pushed: Vec::new(),
             h1_conn: None,
             resp_header_wire: 0,
             header_received: 0,
@@ -208,9 +213,7 @@ impl FetchEngine {
             }
             Protocol::Http2 => {
                 if !self.origins.contains_key(&origin) {
-                    let conn = self.net.open(at, self.cfg.tls);
-                    obs::HTTP_CONNS_OPENED.incr();
-                    self.conn_map.insert(conn, origin);
+                    let conn = self.open_conn(at, origin);
                     self.origins.insert(
                         origin,
                         OriginState::H2(H2Origin {
@@ -263,7 +266,7 @@ impl FetchEngine {
         self.recs.push(Rec {
             req,
             timing: RequestTiming { submitted: Some(at), ..RequestTiming::default() },
-            pushed_by: Some(parent),
+            pushed: Vec::new(),
             h1_conn: None,
             resp_header_wire: 0,
             header_received: 0,
@@ -271,6 +274,7 @@ impl FetchEngine {
             headers_done: false,
             completed: false,
         });
+        self.recs[parent.0 as usize].pushed.push(id);
         id
     }
 
@@ -286,14 +290,10 @@ impl FetchEngine {
                 }
                 return None;
             }
-            let net_t = self.net.peek_time();
+            // A timer runs first unless the network has an internal event
+            // strictly before it; ties go to the timer.
             let tim_t = self.timers.peek_time();
-            let timer_first = match (net_t, tim_t) {
-                (None, None) => return None,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (Some(n), Some(t)) => t <= n,
-            };
+            let timer_first = tim_t.is_some_and(|t| !self.net.has_event_before(t));
             if timer_first {
                 // lint:allow(D4): timer_first is only true when tim_t is Some
                 let t = tim_t.expect("timer_first implies a timer");
@@ -326,17 +326,6 @@ impl FetchEngine {
     /// has fully quiesced.
     pub fn next_event(&mut self) -> Option<(SimTime, FetchEvent)> {
         self.next_event_until(SimTime::from_micros(u64::MAX))
-    }
-
-    /// Earliest time at which anything might happen (lower bound for the
-    /// next event). `None` when fully quiesced.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let cands = [
-            self.out.front().map(|e| e.0),
-            self.timers.peek_time(),
-            self.net.peek_time(),
-        ];
-        cands.into_iter().flatten().min()
     }
 
     /// Timing record for a request.
@@ -387,8 +376,7 @@ impl FetchEngine {
     fn handle_net(&mut self, now: SimTime, ev: NetEvent) {
         match ev {
             NetEvent::Established { conn } => {
-                // lint:allow(D4): conn_map gains an entry at connect time, before any event for the connection
-                let origin = *self.conn_map.get(&conn).expect("unknown connection");
+                let origin = self.conn_origin[conn.0];
                 // lint:allow(D4): origins gains an entry before any connection to it is opened
                 match self.origins.get_mut(&origin).expect("origin exists") {
                     OriginState::H1(o) => {
@@ -407,8 +395,7 @@ impl FetchEngine {
                 self.try_assign(origin, now);
             }
             NetEvent::RequestDelivered { conn, total_bytes } => {
-                // lint:allow(D4): conn_map gains an entry at connect time, before any event for the connection
-                let origin = *self.conn_map.get(&conn).expect("unknown connection");
+                let origin = self.conn_origin[conn.0];
                 let mut ready: Vec<RequestId> = Vec::new();
                 // lint:allow(D4): origins gains an entry before any connection to it is opened
                 match self.origins.get_mut(&origin).expect("origin exists") {
@@ -444,8 +431,7 @@ impl FetchEngine {
                 }
             }
             NetEvent::Delivered { conn, total_bytes } => {
-                // lint:allow(D4): conn_map gains an entry at connect time, before any event for the connection
-                let origin = *self.conn_map.get(&conn).expect("unknown connection");
+                let origin = self.conn_origin[conn.0];
                 self.on_down_delivered(origin, conn, total_bytes, now);
             }
         }
@@ -490,18 +476,20 @@ impl FetchEngine {
         let mut to_open = assignable_now
             .saturating_sub(connecting_idle)
             .min(self.cfg.h1_pool_size.saturating_sub(o.conns.len()));
-        let mut new_conns = Vec::new();
         while to_open > 0 {
-            let conn = self.net.open(now, self.cfg.tls);
-            obs::HTTP_CONNS_OPENED.incr();
-            new_conns.push(conn);
+            let conn = self.open_conn(now, origin);
+            let Some(OriginState::H1(o)) = self.origins.get_mut(&origin) else { return };
+            o.conns.push(H1Conn::new(conn));
             to_open -= 1;
         }
-        let Some(OriginState::H1(o)) = self.origins.get_mut(&origin) else { return };
-        for conn in new_conns {
-            o.conns.push(H1Conn::new(conn));
-            self.conn_map.insert(conn, origin);
-        }
+    }
+
+    fn open_conn(&mut self, at: SimTime, origin: OriginId) -> ConnId {
+        let conn = self.net.open(at, self.cfg.tls);
+        obs::HTTP_CONNS_OPENED.incr();
+        debug_assert_eq!(conn.0, self.conn_origin.len(), "connections are numbered densely");
+        self.conn_origin.push(origin);
+        conn
     }
 
     fn try_assign_h2(&mut self, origin: OriginId, now: SimTime) {
@@ -565,15 +553,9 @@ impl FetchEngine {
                 o.sched.add_stream(H2SendStream::new(id, wire_header, rec.req.body_bytes, weight));
                 // Pushed streams ride along: they become ready with the
                 // parent (the server already knows it will send them).
-                let push_ids: Vec<u64> = self
-                    .recs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.pushed_by == Some(id))
-                    .map(|(i, _)| i as u64)
-                    .collect();
-                for pid in push_ids {
-                    let prec = &mut self.recs[pid as usize];
+                for k in 0..self.recs[id.0 as usize].pushed.len() {
+                    let pid = self.recs[id.0 as usize].pushed[k];
+                    let prec = &mut self.recs[pid.0 as usize];
                     prec.timing.sent = Some(now);
                     prec.timing.request_at_server = Some(now);
                     let Some(OriginState::H2(o)) = self.origins.get_mut(&origin) else {
@@ -589,7 +571,7 @@ impl FetchEngine {
                     obs::HTTP_H2_STREAMS.incr();
                     obs::HTTP_H2_PUSHED_STREAMS.incr();
                     o.sched.add_stream(H2SendStream::new(
-                        RequestId(pid),
+                        pid,
                         wire_header,
                         prec.req.body_bytes,
                         weight,
@@ -623,7 +605,7 @@ impl FetchEngine {
                 let c = o.conns.iter_mut().find(|c| c.conn == conn).expect("conn in pool");
                 let events = c.on_delivered(total);
                 let mut freed = false;
-                for ev in events {
+                for &ev in events.iter() {
                     match ev {
                         crate::h1::H1Delivery::Headers(id) => self.emit_headers(id, now),
                         crate::h1::H1Delivery::Body(id, b) => {
@@ -642,8 +624,9 @@ impl FetchEngine {
             }
             OriginState::H2(o) => {
                 o.delivered = total;
-                let deliveries = o.chunks.advance(total);
-                for d in deliveries {
+                let mut deliveries = std::mem::take(&mut self.deliveries);
+                o.chunks.advance(total, &mut deliveries);
+                for &d in &deliveries {
                     let rec = &mut self.recs[d.id.0 as usize];
                     match d.kind {
                         ChunkKind::Header => {
@@ -668,6 +651,7 @@ impl FetchEngine {
                         self.emit_complete(d.id, now);
                     }
                 }
+                self.deliveries = deliveries;
                 self.pump_h2(origin, now);
             }
         }

@@ -31,6 +31,35 @@ pub enum H1Delivery {
     Done(RequestId),
 }
 
+/// The attribution events of one delivery, in order: at most a
+/// `Headers`, a `Body` and a `Done`. Fixed capacity, so producing them
+/// allocates nothing; dereferences to a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct H1Deliveries {
+    items: [H1Delivery; 3],
+    len: usize,
+}
+
+impl H1Deliveries {
+    fn new() -> H1Deliveries {
+        H1Deliveries { items: [H1Delivery::Done(RequestId(0)); 3], len: 0 }
+    }
+
+    fn push(&mut self, d: H1Delivery) {
+        // lint:allow(D7): on_delivered pushes at most one Headers, one Body and one Done
+        self.items[self.len] = d;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for H1Deliveries {
+    type Target = [H1Delivery];
+
+    fn deref(&self) -> &[H1Delivery] {
+        &self.items[..self.len]
+    }
+}
+
 /// The response currently being received on a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CurrentResponse {
@@ -128,8 +157,8 @@ impl H1Conn {
 
     /// Attribute newly delivered downlink bytes (`total` is cumulative for
     /// the connection) to the in-flight response.
-    pub fn on_delivered(&mut self, total: u64) -> Vec<H1Delivery> {
-        let mut out = Vec::new();
+    pub fn on_delivered(&mut self, total: u64) -> H1Deliveries {
+        let mut out = H1Deliveries::new();
         if total <= self.down_attributed {
             return out;
         }
@@ -257,13 +286,13 @@ mod tests {
         // Headers incomplete: nothing.
         assert!(c.on_delivered(150).is_empty());
         // Headers complete at 200.
-        assert_eq!(c.on_delivered(200), vec![H1Delivery::Headers(RequestId(1))]);
+        assert_eq!(*c.on_delivered(200), [H1Delivery::Headers(RequestId(1))]);
         // Partial body.
-        assert_eq!(c.on_delivered(700), vec![H1Delivery::Body(RequestId(1), 500)]);
+        assert_eq!(*c.on_delivered(700), [H1Delivery::Body(RequestId(1), 500)]);
         // Completion.
         assert_eq!(
-            c.on_delivered(1200),
-            vec![H1Delivery::Body(RequestId(1), 1000), H1Delivery::Done(RequestId(1))]
+            *c.on_delivered(1200),
+            [H1Delivery::Body(RequestId(1), 1000), H1Delivery::Done(RequestId(1))]
         );
         assert!(c.idle());
     }
@@ -275,8 +304,8 @@ mod tests {
         c.response_scheduled(200, 300);
         let evs = c.on_delivered(500);
         assert_eq!(
-            evs,
-            vec![
+            *evs,
+            [
                 H1Delivery::Headers(RequestId(3)),
                 H1Delivery::Body(RequestId(3), 300),
                 H1Delivery::Done(RequestId(3)),
@@ -290,7 +319,7 @@ mod tests {
         c.assign(RequestId(4), 100);
         c.response_scheduled(150, 0);
         let evs = c.on_delivered(150);
-        assert_eq!(evs, vec![H1Delivery::Headers(RequestId(4)), H1Delivery::Done(RequestId(4))]);
+        assert_eq!(*evs, [H1Delivery::Headers(RequestId(4)), H1Delivery::Done(RequestId(4))]);
     }
 
     #[test]

@@ -381,3 +381,44 @@ fn push_rejected_cross_origin() {
     let root = eng.submit(SimTime::ZERO, small_object(0));
     eng.submit_pushed(SimTime::ZERO, root, small_object(1));
 }
+
+/// The network simulator's lazy retransmission timer must keep the
+/// engine's timer-versus-network decisions of the eager timer, which
+/// the per-segment reference path (`set_burst_batching(false)`) runs.
+///
+/// In this scenario the second request is submitted at exactly the
+/// instant the first response's last segment arrives, and at that
+/// moment a superseded retransmission deadline of the first transfer is
+/// still pending, earlier than the submission. The eager queue therefore
+/// enters the network first: the arrival completes the first response
+/// and frees the connection, and the second request reuses it. Deciding
+/// on the real queue alone would run the submission's timer first and
+/// open a second connection.
+#[test]
+fn lazy_timer_keeps_engine_ties() {
+    let profile =
+        NetworkProfile { loss: LossModel::Bernoulli { p: 0.03 }, ..NetworkProfile::lte() };
+    let tie = SimTime::from_micros(637_678);
+    let run = |batching: bool| {
+        let mut eng =
+            FetchEngine::new(HttpConfig::new(Protocol::Http1), profile.clone(), Seed(118));
+        eng.set_burst_batching(batching);
+        let first = eng.submit(
+            SimTime::ZERO,
+            Request {
+                server_think: SimDuration::from_millis(43),
+                body_bytes: 154_442,
+                ..small_object(0)
+            },
+        );
+        eng.submit(tie, Request { body_bytes: 30_000, ..small_object(0) });
+        let events: Vec<(SimTime, FetchEvent)> = std::iter::from_fn(|| eng.next_event()).collect();
+        assert_eq!(eng.timing(first).completed, Some(tie), "the first response ends at the tie");
+        (events, eng.connections_to(OriginId(0)))
+    };
+    let (fast, fast_conns) = run(true);
+    let (reference, reference_conns) = run(false);
+    assert_eq!(reference_conns, 1, "the freed connection is reused");
+    assert_eq!(fast_conns, reference_conns);
+    assert_eq!(fast, reference);
+}

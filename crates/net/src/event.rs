@@ -120,14 +120,36 @@ impl<E> EventQueue<E> {
     /// Panics if `time` is earlier than the watermark (the time of the
     /// last popped event).
     pub fn schedule(&mut self, time: SimTime, payload: E) {
+        let seq = self.reserve_seq();
+        self.schedule_with_seq(time, seq, payload);
+    }
+
+    /// Consume the next sequence number without scheduling anything. A
+    /// caller that may schedule an event later, at the tie position it
+    /// would have had if scheduled now, reserves its sequence number here
+    /// and passes it to [`EventQueue::schedule_with_seq`].
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `payload` at `time` under a sequence number obtained from
+    /// [`EventQueue::reserve_seq`]. It pops in `(time, seq)` order, as if
+    /// it had been scheduled when `seq` was reserved. Each reserved
+    /// number may be scheduled at most once.
+    ///
+    /// # Panics
+    /// Panics if `time` is earlier than the watermark, or if `seq` was
+    /// never reserved.
+    pub fn schedule_with_seq(&mut self, time: SimTime, seq: u64, payload: E) {
         assert!(
             time >= self.watermark,
             "scheduling into the past: {} < watermark {}",
             time,
             self.watermark
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
         let t_us = time.as_micros();
         // Keep the cursor invariant: the scan must start at or before the
         // earliest pending event. (peek_time may have advanced the cursor
@@ -156,6 +178,13 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest event, advancing the watermark.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_with_seq().map(|(time, _, payload)| (time, payload))
+    }
+
+    /// Like [`EventQueue::pop`], but also returns the event's sequence
+    /// number, so callers can tell which of several same-time events
+    /// they hold.
+    pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
         let m = self.find_min()?;
         self.min_cache.set(None);
         let ev = self.buckets[m.bucket].swap_remove(m.slot);
@@ -165,7 +194,7 @@ impl<E> EventQueue<E> {
         if self.len < self.buckets.len() / 8 && self.buckets.len() > MIN_BUCKETS {
             self.rebucket();
         }
-        Some((ev.time, ev.payload))
+        Some((ev.time, ev.seq, ev.payload))
     }
 
     /// The time of the earliest pending event, if any.
@@ -364,6 +393,9 @@ mod tests {
         fn schedule(&mut self, time: SimTime, payload: E) {
             let seq = self.next_seq;
             self.next_seq += 1;
+            self.schedule_with_seq(time, seq, payload);
+        }
+        fn schedule_with_seq(&mut self, time: SimTime, seq: u64, payload: E) {
             self.heap.push(std::cmp::Reverse((time, seq)));
             self.payloads.insert(seq, payload);
         }
@@ -460,6 +492,79 @@ mod tests {
             }
             assert!(cal.is_empty());
         }
+    }
+
+    /// Events scheduled under a sequence number reserved earlier pop in
+    /// `(time, seq)` order, interleaved with ordinary schedules exactly as
+    /// the heap reference orders them — including same-time ties against
+    /// events scheduled after the reservation. This is the re-queue
+    /// pattern of the simulator's lazy retransmission timer.
+    #[test]
+    fn schedule_with_seq_matches_binary_heap_reference() {
+        for seed in 0u64..64 {
+            let mut rng = Rng::seed_from_u64(0x5E9_0000 + seed);
+            let mut cal: EventQueue<u64> = EventQueue::new();
+            let mut heap: HeapRef<u64> = HeapRef::new();
+            // Reserved but not yet scheduled: (seq, payload).
+            let mut reserved: Vec<(u64, u64)> = Vec::new();
+            let mut last_popped: Option<(SimTime, u64)> = None;
+            let mut now = 0u64;
+            let mut payload = 0u64;
+            for step in 0..2_000 {
+                match rng.below(10) {
+                    0..=2 => {
+                        let t = SimTime::from_micros(now + rng.below(3_000));
+                        cal.schedule(t, payload);
+                        heap.schedule(t, payload);
+                        payload += 1;
+                    }
+                    3 | 4 => {
+                        let seq = cal.reserve_seq();
+                        assert_eq!(seq, heap.next_seq, "seed={seed} step={step}");
+                        heap.next_seq += 1;
+                        reserved.push((seq, payload));
+                        payload += 1;
+                    }
+                    5 if !reserved.is_empty() => {
+                        // Schedule a reservation (not necessarily the
+                        // oldest), at a tie with `now` whenever its key
+                        // still lies after the last popped one.
+                        let pick = rng.below(reserved.len() as u64) as usize;
+                        let (seq, p) = reserved.swap_remove(pick);
+                        let mut t = SimTime::from_micros(now + rng.below(4) * rng.below(2_000));
+                        if last_popped.is_some_and(|k| (t, seq) <= k) {
+                            t = SimTime::from_micros(now + 1);
+                        }
+                        cal.schedule_with_seq(t, seq, p);
+                        heap.schedule_with_seq(t, seq, p);
+                    }
+                    _ => {
+                        assert_eq!(cal.peek_time(), heap.peek_time(), "seed={seed} step={step}");
+                        let got = cal.pop_with_seq();
+                        let want = heap.heap.peek().map(|std::cmp::Reverse(k)| *k);
+                        let tag = format!("seed={seed} step={step}");
+                        assert_eq!(got.as_ref().map(|&(t, q, _)| (t, q)), want, "{tag}");
+                        assert_eq!(got.map(|(t, _, p)| (t, p)), heap.pop(), "{tag}");
+                        if let Some(k) = want {
+                            now = k.0.as_micros();
+                            last_popped = Some(k);
+                        }
+                    }
+                }
+                assert_eq!(cal.len(), heap.payloads.len(), "seed={seed} step={step}");
+            }
+            while let Some(expect) = heap.pop() {
+                assert_eq!(cal.pop(), Some(expect), "seed={seed} drain");
+            }
+            assert!(cal.is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "was never reserved")]
+    fn unreserved_seq_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_with_seq(SimTime::ZERO, 0, ());
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //!   contribution is the round trips, which are modelled through the real
 //!   queues so queueing delay still applies.
 
-use eyeorg_stats::rng::Rng;
 use std::collections::VecDeque;
 
 use eyeorg_obs::metrics as obs;
@@ -81,14 +80,22 @@ enum Ev {
     ServerSend { conn: usize, bytes: u64 },
     UpDataArrive { conn: usize, end: u64 },
     SegArrive { conn: usize, start: u64, end: u64 },
-    AckArrive { conn: usize, ack: u64, sack: SackBlocks },
+    /// An ACK reaching the server. `sack` indexes `NetSim::sacks`, or is
+    /// `NO_SACK`: most ACKs carry no blocks, and keeping the blocks out
+    /// of the event shrinks every queued event from 80 to 32 bytes.
+    AckArrive { conn: usize, ack: u64, sack: u32 },
     /// Coalesced replay point for a batched lossless burst: fires at the
     /// arrival time of the burst's *last* ACK and applies every deferred
     /// ACK in order (see `BurstPlan`). `generation` tombstones batches
     /// whose plan was flushed early.
     AckBatch { conn: usize, generation: u64 },
-    RtoCheck { conn: usize, epoch: u64 },
+    /// A retransmission-timer check. Its queue key `(time, seq)` is the
+    /// key of the arm it checks (see `RtoTimer`).
+    RtoCheck { conn: usize },
 }
+
+/// `Ev::AckArrive::sack` of an ACK without SACK blocks.
+const NO_SACK: u32 = u32::MAX;
 
 /// Maximum number of segments coalesced into one batch. Keeps the span
 /// guard tight and the deferred state small; bursts beyond this simply
@@ -97,8 +104,8 @@ const MAX_BATCH_SEGMENTS: usize = 64;
 
 /// A burst's deferred ACKs may span at most this long after the plan was
 /// created. Far below TCP's minimum RTO (200 ms), so every RTO check
-/// that could observe deferred state is provably stale (a newer rearm
-/// always lands first).
+/// that could observe deferred state is provably superseded (a newer
+/// rearm always lands first).
 const MAX_BATCH_SPAN: SimDuration = SimDuration::from_millis(100);
 
 /// An active lossless-burst batch for one connection.
@@ -110,15 +117,18 @@ const MAX_BATCH_SPAN: SimDuration = SimDuration::from_millis(100);
 /// per-ACK event; when the last segment arrives, one `Ev::AckBatch` at
 /// the final ACK's arrival time replays them all against the sender in
 /// order, with their original timestamps — byte-identical sender state,
-/// `k - 1` fewer event-queue round-trips, and `k - 1` fewer stale
-/// `RtoCheck` events (their rearms are folded into epoch bumps).
+/// `k - 1` fewer event-queue round-trips, and `k - 1` fewer timer arms
+/// (each deferred ACK only supersedes the live one).
 ///
 /// Any event that could observe the deferred sender state
 /// (`ServerSend`, a live `RtoCheck`, a stray `AckArrive`) *flushes* the
 /// plan first: deferred ACKs at or before the current time are applied
 /// immediately, later ones are re-materialised as ordinary `AckArrive`
 /// events at their exact recorded times.
-#[derive(Debug)]
+///
+/// Finished plans go back to `NetSim::spare_plans` so their buffers are
+/// reused instead of reallocated for every burst.
+#[derive(Debug, Default)]
 struct BurstPlan {
     /// Byte ranges still expected to arrive, in order.
     pending_segments: VecDeque<(u64, u64)>,
@@ -141,13 +151,44 @@ struct Conn {
     opened_at: SimTime,
     up_sent: u64,
     up_delivered: u64,
-    rto_epoch: u64,
+    rto: RtoTimer,
     /// Active lossless-burst batch, if any.
     plan: Option<BurstPlan>,
     /// Monotone plan counter; stale `Ev::AckBatch` events carry an older
     /// generation and are ignored.
     plan_generation: u64,
     log: Option<ConnLog>,
+}
+
+/// A key in the event queue's total order: `(time, sequence number)`.
+type EventKey = (SimTime, u64);
+
+/// One connection's retransmission timer.
+///
+/// The timer is defined by its *eager* form, which the per-segment
+/// reference path still runs: every arm while data is in flight schedules
+/// an `RtoCheck` at `now + rto`, and only the check of the most recent arm
+/// (`live`) acts when it pops; the others are superseded no-ops.
+///
+/// The fast path keeps the same `live` key but queues at most one check
+/// per connection (`carrier`, which is never later than `live`). When the
+/// carrier pops before `live`, it is re-queued under `live`'s own
+/// `(deadline, seq)`, so the live check still pops at its eager position
+/// in the queue's total order. Only an arm that moves the deadline
+/// *earlier* than the carrier queues a second check, turning the old
+/// carrier into a tombstone.
+///
+/// The superseded checks the fast path never queues are still visible in
+/// one place: the HTTP engine asks whether the network has any event
+/// pending before its next timer (`NetSim::has_event_before`), and the
+/// eager queue would have answered yes for a superseded deadline. So
+/// those keys are kept in `superseded`, sorted, until the simulator has
+/// passed them.
+#[derive(Debug, Default)]
+struct RtoTimer {
+    live: Option<EventKey>,
+    carrier: Option<EventKey>,
+    superseded: VecDeque<EventKey>,
 }
 
 /// Public per-connection statistics (for HARs and tests).
@@ -178,15 +219,26 @@ pub struct NetSim {
     queue: EventQueue<Ev>,
     out: VecDeque<(SimTime, NetEvent)>,
     logging: bool,
-    /// Coalesce lossless bursts into one ACK-replay event (default on).
-    /// The `false` path is the per-segment reference implementation the
-    /// equivalence tests compare against.
+    /// Coalesce lossless bursts into one ACK-replay event and run the
+    /// lazy retransmission timer (default on). The `false` path is the
+    /// per-segment reference implementation with the eager timer, which
+    /// the equivalence tests compare against.
     batching: bool,
-    /// Internal events processed since construction (for the hot-path
-    /// bench's events/sec metric).
+    /// Logical simulator events since construction: every event popped,
+    /// except that each retransmission-timer arm counts as one event when
+    /// it is armed and timer checks do not count when they pop. Both
+    /// timers give the same total once the simulation has quiesced.
     events_processed: u64,
-    #[allow(dead_code)] // reserved for future jitter modelling
-    rng: Rng,
+    /// The largest `(time, seq)` key the eager queue would have popped by
+    /// now; superseded timer keys at or below it are gone.
+    passed: EventKey,
+    /// Scratch buffer for the segments one `pump` hands to the link.
+    burst: Vec<(u64, u64)>,
+    /// Buffers of finished burst plans, reused by the next plan.
+    spare_plans: Vec<BurstPlan>,
+    /// SACK blocks of queued `AckArrive` events, and the free slots.
+    sacks: Vec<SackBlocks>,
+    free_sacks: Vec<u32>,
 }
 
 impl NetSim {
@@ -206,7 +258,11 @@ impl NetSim {
             logging: false,
             batching: true,
             events_processed: 0,
-            rng: Rng::seed_from_u64(seed.derive("netsim").value()),
+            passed: (SimTime::ZERO, 0),
+            burst: Vec::new(),
+            spare_plans: Vec::new(),
+            sacks: Vec::new(),
+            free_sacks: Vec::new(),
             profile,
         }
     }
@@ -222,15 +278,21 @@ impl NetSim {
         self.logging = on;
     }
 
-    /// Enable or disable lossless-burst batching (default: enabled).
-    /// Disabling selects the per-segment reference path; both paths
-    /// produce identical [`NetEvent`] traces, statistics and logs — the
-    /// equivalence tests and the `perf_hotpath` bench verify this.
+    /// Enable or disable lossless-burst batching and the lazy
+    /// retransmission timer (default: enabled). Disabling selects the
+    /// per-segment reference path with the eager timer; both paths
+    /// produce identical [`NetEvent`] traces, statistics, logs and event
+    /// counts — the equivalence tests and the `perf_hotpath` bench verify
+    /// this. Call it before the first [`NetSim::open`].
     pub fn set_burst_batching(&mut self, on: bool) {
+        assert!(self.conns.is_empty(), "set_burst_batching after open");
         self.batching = on;
     }
 
-    /// Internal simulator events processed since construction.
+    /// Logical simulator events since construction: every internal event
+    /// processed, with each retransmission-timer arm counted when it is
+    /// armed rather than when its check pops. Exact once the simulation
+    /// has quiesced.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -246,9 +308,23 @@ impl NetSim {
         self.queue.now()
     }
 
-    /// Earliest pending internal event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+    /// Whether an internal event is pending strictly before `t`, counting
+    /// every superseded retransmission-timer check the eager timer would
+    /// still hold. Layers that interleave their own timers with the
+    /// network decide with this which side runs first, so the lazy timer
+    /// makes the same decisions as the eager one.
+    pub fn has_event_before(&mut self, t: SimTime) -> bool {
+        if self.queue.peek_time().is_some_and(|p| p < t) {
+            return true;
+        }
+        let passed = self.passed;
+        self.conns.iter_mut().any(|c| {
+            let superseded = &mut c.rto.superseded;
+            while superseded.front().is_some_and(|&k| k <= passed) {
+                superseded.pop_front();
+            }
+            superseded.front().is_some_and(|&(deadline, _)| deadline < t)
+        })
     }
 
     /// Open a connection at time `at` (≥ the current watermark). The
@@ -266,7 +342,7 @@ impl NetSim {
             opened_at: at,
             up_sent: 0,
             up_delivered: 0,
-            rto_epoch: 0,
+            rto: RtoTimer::default(),
             plan: None,
             plan_generation: 0,
             log: self.logging.then(ConnLog::default),
@@ -322,12 +398,16 @@ impl NetSim {
             if let Some(ev) = self.out.pop_front() {
                 return Some(ev);
             }
-            if self.queue.peek_time()? > limit {
+            if self.queue.peek_time().is_none_or(|t| t > limit) {
+                // The eager queue would have drained every superseded
+                // timer check up to `limit` on its way here.
+                self.passed = self.passed.max((limit, u64::MAX));
                 return None;
             }
             // lint:allow(D4): peek_time returned Some, so the queue is non-empty
-            let (now, ev) = self.queue.pop().expect("peeked non-empty");
-            self.process(now, ev);
+            let (now, seq, ev) = self.queue.pop_with_seq().expect("peeked non-empty");
+            self.passed = self.passed.max((now, seq));
+            self.process(now, seq, ev);
         }
     }
 
@@ -341,14 +421,16 @@ impl NetSim {
     // Internal event processing
     // ------------------------------------------------------------------
 
-    fn process(&mut self, now: SimTime, ev: Ev) {
-        self.events_processed += 1;
-        obs::NET_EVENTS_PROCESSED.incr();
+    fn process(&mut self, now: SimTime, seq: u64, ev: Ev) {
+        // The lazy timer counted its checks when it armed them.
+        if !(self.batching && matches!(ev, Ev::RtoCheck { .. })) {
+            self.count_event();
+        }
         // Events that touch the sender while a burst plan is deferring
         // its ACKs must see the exact reference state: flush first.
-        // (`RtoCheck` defers the flush until after its staleness test —
+        // (`RtoCheck` defers the flush until after its liveness test —
         // any check that can pop mid-plan was armed before the burst's
-        // own rearm and is therefore stale on both paths.)
+        // own rearm and is therefore superseded on both paths.)
         match ev {
             Ev::ServerSend { conn, .. } | Ev::AckArrive { conn, .. }
                 if self.conns[conn].plan.is_some() =>
@@ -465,10 +547,8 @@ impl NetSim {
                         self.queue.schedule(arrival, Ev::AckBatch { conn, generation });
                     }
                 } else {
-                    self.queue.schedule(
-                        arrival,
-                        Ev::AckArrive { conn, ack: outcome.ack, sack: outcome.sack },
-                    );
+                    let sack = self.store_sack(outcome.sack);
+                    self.queue.schedule(arrival, Ev::AckArrive { conn, ack: outcome.ack, sack });
                 }
             }
             Ev::AckBatch { conn, generation } => {
@@ -480,11 +560,10 @@ impl NetSim {
                     return; // plan was flushed; the ACKs already replayed
                 }
                 // lint:allow(D4): live was checked just above: a plan with this generation is present
-                let plan = self.conns[conn].plan.take().expect("checked live");
+                let mut plan = self.conns[conn].plan.take().expect("checked live");
                 debug_assert!(plan.pending_segments.is_empty(), "batch before last segment");
-                let n = plan.acks.len();
-                for (k, (t, ack)) in plan.acks.into_iter().enumerate() {
-                    if k + 1 == n {
+                while let Some((t, ack)) = plan.acks.pop_front() {
+                    if plan.acks.is_empty() {
                         // The last ACK fires at the batch's own time: run
                         // the full reference ACK path.
                         debug_assert_eq!(t, now, "batch scheduled at last ACK arrival");
@@ -493,32 +572,82 @@ impl NetSim {
                         self.apply_deferred_ack(conn, t, ack);
                     }
                 }
+                self.spare_plans.push(plan);
             }
             Ev::AckArrive { conn, ack, sack } => {
+                let sack = self.take_sack(sack);
                 self.apply_ack(conn, now, ack, sack);
             }
-            Ev::RtoCheck { conn, epoch } => {
-                if self.conns[conn].rto_epoch != epoch {
-                    return; // superseded by a later (re)arm
-                }
-                // A live check during an active plan would act on the
-                // deferred sender state; restore exactness first. (Cannot
-                // happen — see the dispatch comment — but stay safe.)
-                if self.conns[conn].plan.is_some() {
-                    self.flush_plan(conn, now);
-                    if self.conns[conn].rto_epoch != epoch {
-                        return;
+            Ev::RtoCheck { conn } => {
+                let key = (now, seq);
+                if self.batching {
+                    if self.conns[conn].rto.carrier != Some(key) {
+                        return; // a tombstone: an earlier arm replaced it
                     }
+                    self.conns[conn].rto.carrier = None;
                 }
-                if self.conns[conn].sender.on_rto() {
-                    if let Some(log) = &mut self.conns[conn].log {
-                        log.push(now, ConnEvent::Timeout);
-                    }
-                    self.pump(conn, now);
-                    self.rearm_rto(conn, now);
+                if self.conns[conn].rto.live == Some(key) {
+                    self.on_rto(conn, now, key);
+                }
+                // Lazy timer: carry a later live deadline forward under
+                // its own key.
+                let rto = &mut self.conns[conn].rto;
+                if let (true, None, Some(live)) = (self.batching, rto.carrier, rto.live) {
+                    rto.carrier = Some(live);
+                    self.queue.schedule_with_seq(live.0, live.1, Ev::RtoCheck { conn });
                 }
             }
         }
+    }
+
+    /// Park an ACK's SACK blocks until its `AckArrive` pops.
+    fn store_sack(&mut self, sack: SackBlocks) -> u32 {
+        if sack.as_slice().is_empty() {
+            return NO_SACK;
+        }
+        match self.free_sacks.pop() {
+            Some(i) => {
+                self.sacks[i as usize] = sack;
+                i
+            }
+            None => {
+                self.sacks.push(sack);
+                (self.sacks.len() - 1) as u32
+            }
+        }
+    }
+
+    fn take_sack(&mut self, sack: u32) -> SackBlocks {
+        if sack == NO_SACK {
+            return SackBlocks::default();
+        }
+        self.free_sacks.push(sack);
+        self.sacks[sack as usize]
+    }
+
+    /// The live retransmission-timer check `key` fired.
+    fn on_rto(&mut self, conn: usize, now: SimTime, key: EventKey) {
+        // A live check during an active plan would act on the deferred
+        // sender state; restore exactness first. (Cannot happen — see the
+        // dispatch comment — but stay safe.)
+        if self.conns[conn].plan.is_some() {
+            self.flush_plan(conn, now);
+            if self.conns[conn].rto.live != Some(key) {
+                return;
+            }
+        }
+        if self.conns[conn].sender.on_rto() {
+            if let Some(log) = &mut self.conns[conn].log {
+                log.push(now, ConnEvent::Timeout);
+            }
+            self.pump(conn, now);
+            self.rearm_rto(conn, now);
+        }
+    }
+
+    fn count_event(&mut self) {
+        self.events_processed += 1;
+        obs::NET_EVENTS_PROCESSED.incr();
     }
 
     /// The full reference ACK path: SACK bookkeeping, cumulative ACK,
@@ -547,9 +676,10 @@ impl NetSim {
     /// Identical to [`NetSim::apply_ack`] under the burst preconditions:
     /// the pump is a provable no-op (the sender stays app-limited with no
     /// retransmission state until the batch's final ACK), and the rearm
-    /// reduces to its epoch bump — the reference's RtoCheck at `t + rto`
-    /// is guaranteed stale because the next ACK replays (and bumps the
-    /// epoch again) within the batch span, far inside the minimum RTO.
+    /// reduces to superseding the live check — the reference's RtoCheck
+    /// at `t + rto` is guaranteed superseded because the next ACK replays
+    /// (and rearms again) within the batch span, far inside the minimum
+    /// RTO.
     fn apply_deferred_ack(&mut self, conn: usize, t: SimTime, ack: u64) {
         let c = &mut self.conns[conn];
         c.sender.update_sack(SackBlocks::default());
@@ -568,7 +698,7 @@ impl NetSim {
             c.sender.next_segment().is_none(),
             "deferred ACK must not open the send window"
         );
-        c.rto_epoch += 1;
+        self.set_rto(conn, None);
     }
 
     /// Deactivate a connection's burst plan, restoring the exact
@@ -598,11 +728,13 @@ impl NetSim {
                 self.rearm_rto(conn, t);
             }
         }
-        for (t, ack) in plan.acks {
+        for (t, ack) in plan.acks.drain(..) {
             // In-order burst ACKs carry no SACK blocks (validated when
             // they were recorded).
-            self.queue.schedule(t, Ev::AckArrive { conn, ack, sack: SackBlocks::default() });
+            self.queue.schedule(t, Ev::AckArrive { conn, ack, sack: NO_SACK });
         }
+        plan.pending_segments.clear();
+        self.spare_plans.push(plan);
     }
 
     /// Transmit all segments the sender's window currently allows.
@@ -613,7 +745,8 @@ impl NetSim {
     fn pump(&mut self, conn: usize, now: SimTime) {
         // Candidate burst: fresh (non-retransmitted) segments actually
         // handed to the link this pump, none dropped anywhere.
-        let mut burst: Vec<(u64, u64)> = Vec::new();
+        let mut burst = std::mem::take(&mut self.burst);
+        burst.clear();
         let mut clean = self.batching && self.conns[conn].plan.is_none();
         while let Some(seg) = self.conns[conn].sender.next_segment() {
             self.conns[conn].sender.mark_sent(seg, now);
@@ -662,8 +795,9 @@ impl NetSim {
             }
         }
         if clean && burst.len() >= 2 && burst.len() <= MAX_BATCH_SEGMENTS {
-            self.maybe_install_plan(conn, now, burst);
+            self.maybe_install_plan(conn, now, &burst);
         }
+        self.burst = burst;
     }
 
     /// Install a [`BurstPlan`] for `burst` if the connection is in the
@@ -671,9 +805,10 @@ impl NetSim {
     /// *only* data in flight, the sender is application-limited with a
     /// clean window, and the receiver sits exactly at the burst's first
     /// byte with nothing buffered out-of-order. Under these conditions
-    /// every deferred ACK's pump is a no-op and its rearm reduces to an
-    /// epoch bump, so replaying the ACKs late is byte-identical.
-    fn maybe_install_plan(&mut self, conn: usize, now: SimTime, burst: Vec<(u64, u64)>) {
+    /// every deferred ACK's pump is a no-op and its rearm reduces to
+    /// superseding the live timer check, so replaying the ACKs late is
+    /// byte-identical.
+    fn maybe_install_plan(&mut self, conn: usize, now: SimTime, burst: &[(u64, u64)]) {
         let c = &self.conns[conn];
         let contiguous = burst.windows(2).all(|w| w[0].1 == w[1].0);
         let (first_start, last_end) = (burst[0].0, burst[burst.len() - 1].1);
@@ -688,24 +823,50 @@ impl NetSim {
             return;
         }
         obs::NET_BURSTS_BATCHED.incr();
+        let mut plan = self.spare_plans.pop().unwrap_or_default();
+        plan.pending_segments.extend(burst);
         let c = &mut self.conns[conn];
         c.plan_generation += 1;
-        c.plan = Some(BurstPlan {
-            pending_segments: burst.into_iter().collect(),
-            acks: VecDeque::new(),
-            generation: c.plan_generation,
-            created_at: now,
-        });
+        plan.generation = c.plan_generation;
+        plan.created_at = now;
+        c.plan = Some(plan);
     }
 
-    /// Reset the retransmission timer after any sender activity.
+    /// Reset the retransmission timer after any sender activity: arm a
+    /// check at `now + rto` while data is in flight, disarm it otherwise.
     fn rearm_rto(&mut self, conn: usize, now: SimTime) {
-        let c = &mut self.conns[conn];
-        c.rto_epoch += 1;
-        if c.sender.in_flight() > 0 {
-            let deadline = now + c.sender.current_rto();
-            self.queue.schedule(deadline, Ev::RtoCheck { conn, epoch: c.rto_epoch });
+        let sender = &self.conns[conn].sender;
+        let armed = (sender.in_flight() > 0)
+            .then(|| (now + sender.current_rto(), self.queue.reserve_seq()));
+        self.set_rto(conn, armed);
+    }
+
+    /// Make `armed` the connection's live timer check (`None` disarms),
+    /// superseding the previous one. See `RtoTimer` for the two timers.
+    fn set_rto(&mut self, conn: usize, armed: Option<EventKey>) {
+        let rto = &mut self.conns[conn].rto;
+        if let Some(old) = std::mem::replace(&mut rto.live, armed) {
+            // A superseded key the lazy queue does not hold (it is not
+            // the carrier) is still pending in the eager queue.
+            if self.batching && rto.carrier != Some(old) && old > self.passed {
+                let at = rto.superseded.iter().rposition(|&k| k < old).map_or(0, |i| i + 1);
+                rto.superseded.insert(at, old);
+            }
         }
+        while rto.superseded.front().is_some_and(|&k| k <= self.passed) {
+            rto.superseded.pop_front();
+        }
+        let Some((deadline, seq)) = armed else { return };
+        if self.batching {
+            // Counted now: the eager timer's check always pops eventually.
+            self.count_event();
+            let rto = &mut self.conns[conn].rto;
+            if rto.carrier.is_some_and(|c| c <= (deadline, seq)) {
+                return; // the queued carrier pops first and re-queues
+            }
+            rto.carrier = Some((deadline, seq));
+        }
+        self.queue.schedule_with_seq(deadline, seq, Ev::RtoCheck { conn });
     }
 
     /// Send `bytes` of request data (starting at stream offset `start`)

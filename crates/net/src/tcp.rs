@@ -20,8 +20,6 @@
 //! loss and queueing) is the job of [`crate::sim::NetSim`]. This split
 //! keeps the transport logic unit-testable without a simulator.
 
-use std::collections::BTreeMap;
-
 use crate::time::{SimDuration, SimTime};
 
 /// Maximum segment size in payload bytes. 1460 = 1500-byte Ethernet MTU
@@ -117,7 +115,7 @@ pub struct TcpSender {
     /// SACK scoreboard: the union of every advertised block (RFC 2018
     /// carries at most 3 blocks per ACK, so the sender accumulates them),
     /// pruned as the cumulative point advances.
-    sacked: BTreeMap<u64, u64>,
+    sacked: RangeSet,
     /// ACK-clocked retransmission credit (RFC 6675's pipe control,
     /// simplified): each returning ACK during recovery licenses one
     /// retransmission, so recovery drains into the queue at the rate the
@@ -163,7 +161,7 @@ impl TcpSender {
             dup_acks: 0,
             recovery: None,
             rtx: None,
-            sacked: BTreeMap::new(),
+            sacked: RangeSet::default(),
             rtx_credit: 0,
             dupacks_since_progress: 0,
             last_sack_new: false,
@@ -252,12 +250,12 @@ impl TcpSender {
             // IsLost); anything above the highest SACK is still in
             // flight. With an empty scoreboard (RTO path) the whole
             // range is fair game — that is go-back-N.
-            if let Some(&highest) = self.sacked.values().max() {
+            if let Some(highest) = self.sacked.highest_end() {
                 end = end.min(highest);
             }
             // Skip everything the receiver has SACKed — only holes go out.
             while cursor < end {
-                match self.sack_skip_past(cursor) {
+                match self.sacked.end_of_range_covering(cursor) {
                     Some(e) => cursor = e,
                     None => break,
                 }
@@ -269,7 +267,7 @@ impl TcpSender {
                     && cursor.saturating_sub(self.snd_una) < self.cwnd as u64
                 {
                     let mut seg_end = (cursor + self.mss).min(end);
-                    if let Some(s) = self.sack_next_block_start(cursor) {
+                    if let Some(s) = self.sacked.next_start_after(cursor) {
                         seg_end = seg_end.min(s);
                     }
                     return Some(SegmentToSend { start: cursor, end: seg_end, retransmission: true });
@@ -285,8 +283,9 @@ impl TcpSender {
         // link for a full queue-drain while retransmissions trickle.
         let sacked: u64 = self
             .sacked
+            .as_slice()
             .iter()
-            .map(|(&s, &e)| e.min(self.snd_nxt).saturating_sub(s.max(self.snd_una)))
+            .map(|&(s, e)| e.min(self.snd_nxt).saturating_sub(s.max(self.snd_una)))
             .sum();
         let pipe = self.in_flight().saturating_sub(sacked);
         if pipe + 1 > self.cwnd as u64 {
@@ -326,49 +325,10 @@ impl TcpSender {
     pub fn update_sack(&mut self, sack: SackBlocks) {
         let mut new_info = false;
         for &(start, end) in sack.as_slice() {
-            new_info |= self.insert_sacked(start, end);
+            // Any byte of the block not already covered is new.
+            new_info |= self.sacked.insert(start, end) < end - start;
         }
         self.last_sack_new = new_info;
-    }
-
-    /// Insert a range; returns whether any byte of it was new.
-    fn insert_sacked(&mut self, mut start: u64, mut end: u64) -> bool {
-        // Merge with overlapping/adjacent scoreboard entries.
-        let overlapping: Vec<u64> = self
-            .sacked
-            .range(..=end)
-            .filter(|&(&s, &e)| e >= start && s <= end)
-            .map(|(&s, _)| s)
-            .collect();
-        let mut covered = 0u64;
-        let span = end - start;
-        for s in overlapping {
-            // lint:allow(D4): the key came from the overlapping scan of this same map
-            let e = self.sacked.remove(&s).expect("key just observed");
-            covered += e.min(end).saturating_sub(s.max(start));
-            start = start.min(s);
-            end = end.max(e);
-        }
-        self.sacked.insert(start, end);
-        covered < span
-    }
-
-    fn prune_sacked(&mut self) {
-        let una = self.snd_una;
-        self.sacked.retain(|_, e| *e > una);
-    }
-
-    /// Scoreboard query: the end of the sacked range covering `seq`.
-    fn sack_skip_past(&self, seq: u64) -> Option<u64> {
-        self.sacked
-            .range(..=seq)
-            .next_back()
-            .filter(|&(&s, &e)| s <= seq && seq < e)
-            .map(|(_, &e)| e)
-    }
-
-    fn sack_next_block_start(&self, seq: u64) -> Option<u64> {
-        self.sacked.range(seq + 1..).next().map(|(&s, _)| s)
     }
 
     /// Process a cumulative ACK for all bytes `< ack`.
@@ -379,7 +339,7 @@ impl TcpSender {
             self.snd_una = ack;
             self.dup_acks = 0;
             self.rto_backoff = 0;
-            self.prune_sacked();
+            self.sacked.remove_below(ack);
             self.sample_rtt(ack, now);
 
             if let Some(recovery_point) = self.recovery {
@@ -551,14 +511,19 @@ pub struct SackBlocks {
 }
 
 impl SackBlocks {
-    /// Build from the receiver's earliest out-of-order ranges.
-    pub fn from_ranges<'a>(ranges: impl Iterator<Item = (&'a u64, &'a u64)>) -> SackBlocks {
+    /// Build from the first three of `ranges`.
+    pub fn from_ranges(ranges: &[(u64, u64)]) -> SackBlocks {
         let mut out = SackBlocks::default();
-        for (&s, &e) in ranges.take(3) {
-            out.blocks[out.len as usize] = (s, e);
-            out.len += 1;
+        for &r in ranges.iter().take(3) {
+            out.push(r);
         }
         out
+    }
+
+    fn push(&mut self, range: (u64, u64)) {
+        // lint:allow(D7): callers push at most three blocks per ACK
+        self.blocks[self.len as usize] = range;
+        self.len += 1;
     }
 
     /// The blocks as a slice.
@@ -582,6 +547,79 @@ impl SackBlocks {
     }
 }
 
+/// A set of byte ranges `[start, end)`, kept as a sorted array of
+/// disjoint, non-adjacent ranges. Both the sender's SACK scoreboard and
+/// the receiver's reassembly buffer hold a handful of ranges, so a
+/// sorted array beats a tree; its buffer is reused, so steady-state
+/// updates allocate nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RangeSet {
+    ranges: Vec<(u64, u64)>,
+}
+
+impl RangeSet {
+    /// The ranges in ascending order.
+    pub fn as_slice(&self) -> &[(u64, u64)] {
+        &self.ranges
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.ranges.is_empty()
+    }
+
+    /// Add `[start, end)`, merging it with every overlapping or adjacent
+    /// range. Returns how many of its bytes the set already covered.
+    pub fn insert(&mut self, start: u64, end: u64) -> u64 {
+        // Ranges `i..j` overlap or touch the new one.
+        let i = self.ranges.partition_point(|&(_, e)| e < start);
+        let j = self.ranges.partition_point(|&(s, _)| s <= end);
+        if i == j {
+            self.ranges.insert(i, (start, end));
+            return 0;
+        }
+        // lint:allow(D7): i < j <= len, so ranges i..j exist
+        let covered = self.ranges[i..j]
+            .iter()
+            .map(|&(s, e)| e.min(end).saturating_sub(s.max(start)))
+            .sum();
+        // lint:allow(D7, n=3): i < j <= len, so ranges i and j - 1 exist
+        self.ranges[i] = (start.min(self.ranges[i].0), end.max(self.ranges[j - 1].1));
+        self.ranges.drain(i + 1..j);
+        covered
+    }
+
+    /// Drop every range that ends at or below `seq`.
+    pub fn remove_below(&mut self, seq: u64) {
+        if self.ranges.first().is_some_and(|&(_, e)| e <= seq) {
+            let n = self.ranges.partition_point(|&(_, e)| e <= seq);
+            self.ranges.drain(..n);
+        }
+    }
+
+    /// The end of the range containing `seq`, if any.
+    pub fn end_of_range_covering(&self, seq: u64) -> Option<u64> {
+        let i = self.ranges.partition_point(|&(s, _)| s <= seq);
+        i.checked_sub(1).map(|i| self.ranges[i]).filter(|&(_, e)| seq < e).map(|(_, e)| e)
+    }
+
+    /// The start of the first range beginning strictly after `seq`.
+    pub fn next_start_after(&self, seq: u64) -> Option<u64> {
+        let i = self.ranges.partition_point(|&(s, _)| s <= seq);
+        self.ranges.get(i).map(|&(s, _)| s)
+    }
+
+    /// The end of the highest range.
+    pub fn highest_end(&self) -> Option<u64> {
+        self.ranges.last().map(|&(_, e)| e)
+    }
+
+    /// Total bytes covered.
+    pub fn covered(&self) -> u64 {
+        self.ranges.iter().map(|&(s, e)| e - s).sum()
+    }
+}
+
 /// Receiver side: cumulative ACK generation and in-order delivery
 /// accounting, with an out-of-order reassembly buffer whose ranges are
 /// advertised back to the sender as SACK blocks.
@@ -589,9 +627,8 @@ impl SackBlocks {
 pub struct TcpReceiver {
     /// Next byte expected in order.
     rcv_nxt: u64,
-    /// Out-of-order ranges keyed by start offset (non-overlapping,
-    /// non-adjacent by construction).
-    ooo: BTreeMap<u64, u64>,
+    /// Out-of-order ranges.
+    ooo: RangeSet,
     /// Rotation cursor so successive ACKs advertise *different* ranges —
     /// three blocks per ACK only cover a burst-loss buffer if they
     /// rotate (what real stacks do).
@@ -623,7 +660,7 @@ impl TcpReceiver {
 
     /// Bytes held in the reassembly buffer (received out of order).
     pub fn buffered(&self) -> u64 {
-        self.ooo.iter().map(|(s, e)| e - s).sum()
+        self.ooo.covered()
     }
 
     /// Accept the segment `[start, end)`.
@@ -635,7 +672,7 @@ impl TcpReceiver {
             return ReceiveOutcome {
                 ack: self.rcv_nxt,
                 newly_delivered: 0,
-                sack: SackBlocks::from_ranges(self.ooo.iter()),
+                sack: SackBlocks::from_ranges(self.ooo.as_slice()),
             };
         }
         let start = start.max(self.rcv_nxt);
@@ -644,66 +681,37 @@ impl TcpReceiver {
             // info — the block containing this segment first (RFC 2018),
             // then two more ranges chosen by rotation so that a long
             // burst's whole buffer map reaches the sender over a few ACKs.
-            self.insert_ooo(start, end);
-            let recent = self
-                .ooo
-                .range(..=start)
-                .next_back()
-                .map(|(&s, &e)| (s, e))
-                // lint:allow(D4): the insert above guarantees a stored range starting at or before start
-                .expect("range containing the segment exists");
-            let others: Vec<(u64, u64)> =
-                self.ooo.iter().map(|(&s, &e)| (s, e)).filter(|r| *r != recent).collect();
-            let mut blocks = vec![recent];
-            if !others.is_empty() {
-                for k in 0..2usize.min(others.len()) {
-                    blocks.push(others[(self.sack_rotate + k) % others.len()]);
+            self.ooo.insert(start, end);
+            let ranges = self.ooo.as_slice();
+            // The range containing the segment, and the others in order.
+            let recent = ranges.partition_point(|&(s, _)| s <= start) - 1;
+            let others = ranges.len() - 1;
+            let mut sack = SackBlocks::default();
+            sack.push(ranges[recent]);
+            if others > 0 {
+                for k in 0..2usize.min(others) {
+                    let i = (self.sack_rotate + k) % others;
+                    sack.push(ranges[i + usize::from(i >= recent)]);
                 }
-                self.sack_rotate = (self.sack_rotate + 2) % others.len();
+                self.sack_rotate = (self.sack_rotate + 2) % others;
             }
-            return ReceiveOutcome {
-                ack: self.rcv_nxt,
-                newly_delivered: 0,
-                sack: SackBlocks::from_ranges(blocks.iter().map(|(s, e)| (s, e))),
-            };
+            return ReceiveOutcome { ack: self.rcv_nxt, newly_delivered: 0, sack };
         }
-        // In order: advance, then drain any contiguous buffered ranges.
+        // In order: advance, then drain every buffered range the advance
+        // reaches (each one may reach the next).
         self.rcv_nxt = end;
-        // Find buffered ranges that begin at or before rcv_nxt.
-        while let Some((&s, &e)) = self.ooo.range(..=self.rcv_nxt).next_back() {
-            if e <= self.rcv_nxt {
-                self.ooo.remove(&s);
-                continue;
-            }
-            if s <= self.rcv_nxt {
-                self.rcv_nxt = e;
-                self.ooo.remove(&s);
-            } else {
+        while let Some(&(s, e)) = self.ooo.as_slice().first() {
+            if s > self.rcv_nxt {
                 break;
             }
+            self.rcv_nxt = self.rcv_nxt.max(e);
+            self.ooo.remove_below(e);
         }
         ReceiveOutcome {
             ack: self.rcv_nxt,
             newly_delivered: self.rcv_nxt - before,
-            sack: SackBlocks::from_ranges(self.ooo.iter()),
+            sack: SackBlocks::from_ranges(self.ooo.as_slice()),
         }
-    }
-
-    fn insert_ooo(&mut self, mut start: u64, mut end: u64) {
-        // Merge with any overlapping or adjacent existing ranges.
-        let overlapping: Vec<u64> = self
-            .ooo
-            .range(..=end)
-            .filter(|&(&s, &e)| e >= start && s <= end)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            // lint:allow(D4): the key came from the overlapping scan of this same map
-            let e = self.ooo.remove(&s).expect("key just observed");
-            start = start.min(s);
-            end = end.max(e);
-        }
-        self.ooo.insert(start, end);
     }
 }
 

@@ -18,7 +18,10 @@ use crate::{Counter, Histogram, LabeledCounter};
 
 // --- net: the TCP/link simulator ---
 
-/// Events popped off the simulator's calendar queue.
+/// Logical simulator events: every event popped, plus each
+/// retransmission-timer arm, counted when armed (timer checks are not
+/// counted when they pop). Equal to the eager timer's pop count once a
+/// load has quiesced.
 pub static NET_EVENTS_PROCESSED: Counter = Counter::new("net.events_processed");
 /// Data segments handed to the link (including retransmissions).
 pub static NET_SEGMENTS_SENT: Counter = Counter::new("net.segments_sent");

@@ -57,6 +57,14 @@ cargo run -q --release -p eyeorg-bench --bin perf_pipeline
 # timelines, incremental curves) against their in-process reference
 # implementations and exits non-zero on any output divergence.
 cargo run -q --release -p eyeorg-bench --bin perf_hotpath -- --smoke
+# Byte-identity gate for the whole page-load path: the paper-scale
+# evaluation must rewrite every table and figure file exactly as
+# committed (any change to the simulated loads moves some of them).
+EYEORG_SCALE=paper cargo run -q --release -p eyeorg-bench --bin run_all > /dev/null
+git diff --exit-code -- results/table1.txt results/fig1.txt results/fig4.txt \
+    results/fig5.txt results/fig6.txt results/fig7.txt results/fig8.txt \
+    results/fig9.txt results/demographics.txt results/fig4.csv results/fig5.csv \
+    results/fig6.csv results/fig7.csv results/fig8.csv
 # The observability layer's determinism contract: the counter section of
 # the run report must be byte-identical at 1 thread, 2 threads, and the
 # hardware default. The canonical results/RUN_report.json comes from the
