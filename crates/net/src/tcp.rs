@@ -553,7 +553,7 @@ impl SackBlocks {
 /// sorted array beats a tree; its buffer is reused, so steady-state
 /// updates allocate nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RangeSet {
+pub(crate) struct RangeSet {
     ranges: Vec<(u64, u64)>,
 }
 
