@@ -163,9 +163,11 @@ impl FetchEngine {
         }
     }
 
-    /// Toggle the network simulator's lossless burst batching (on by
-    /// default; the traces are identical either way). The off position
-    /// is the per-segment reference path benchmarks compare against.
+    /// Toggle the network simulator's lossless burst batching and lazy
+    /// retransmission timer (on by default; the traces are identical
+    /// either way). The off position is the per-segment reference path
+    /// with the eager timer that tests and benchmarks compare against.
+    /// Call it before the first [`FetchEngine::submit`].
     pub fn set_burst_batching(&mut self, on: bool) {
         self.net.set_burst_batching(on);
     }
