@@ -58,6 +58,8 @@ const MAX_BUCKETS: usize = 65_536;
 /// Initial bucket width: 2^9 µs = 512 µs, on the order of one segment
 /// serialisation time on the simulated access links.
 const DEFAULT_SHIFT: u32 = 9;
+/// How many of the earliest pending events set the bucket width.
+const NEAR_EVENTS: usize = 16;
 
 /// A deterministic future-event list.
 ///
@@ -269,8 +271,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Resize the wheel to fit the current population: bucket count ~2×
-    /// the number of events, bucket width ~the mean inter-event gap.
-    /// Deterministic — parameters depend only on queue contents.
+    /// the number of events, bucket width ~the mean gap between the
+    /// earliest events. Deterministic — parameters depend only on queue
+    /// contents.
     fn rebucket(&mut self) {
         let mut all: Vec<Scheduled<E>> = Vec::with_capacity(self.len);
         for bucket in &mut self.buckets {
@@ -282,15 +285,16 @@ impl<E> EventQueue<E> {
         if self.buckets.len() != target {
             self.buckets = (0..target).map(|_| Vec::new()).collect();
         }
-        if !all.is_empty() {
-            // lint:allow(D4): `all` is non-empty, so min exists
-            let min_t = all.iter().map(|e| e.time.as_micros()).min().unwrap();
-            // lint:allow(D4): `all` is non-empty, so max exists
-            let max_t = all.iter().map(|e| e.time.as_micros()).max().unwrap();
-            let gap = (max_t - min_t) / all.len() as u64;
-            // Width = mean gap rounded up to a power of two, clamped to
-            // [64 µs, 131 ms]. A clustered population gets narrow
-            // buckets; one far-out timer cannot widen them past the cap.
+        all.sort_unstable_by_key(|e| (e.time, e.seq));
+        let near = &all[..all.len().min(NEAR_EVENTS)];
+        if let (Some(first), Some(last)) = (near.first(), near.last()) {
+            let min_t = first.time.as_micros();
+            let gap = (last.time.as_micros() - min_t) / near.len() as u64;
+            // Width = mean gap among the earliest events — the ones the
+            // forward scan meets next — rounded up to a power of two and
+            // clamped to [64 µs, 131 ms]. Retransmission timers parked far
+            // ahead must not set it: a width fitted to them puts the
+            // near-term events into one bucket, which every pop rescans.
             self.shift = (64 - gap.max(1).leading_zeros()).clamp(6, 17);
             self.cursor.set(self.slot_floor(min_t));
         } else {
